@@ -12,8 +12,6 @@
 //	                                         # appear under "plans" in GET /stats)
 //	lrmserve -mech auto -plan-candidates lrm,lm,nor,wm
 //	lrmserve -coalesce-window 2ms            # merge concurrent same-workload requests
-//	lrmserve -shard-rows 4096                # row-shard oversized workloads (ε splits by
-//	                                         # sequential composition across shards)
 //	lrmserve -budget-dir /var/lib/lrm -tenant-eps 'default=10,acme=2.5'
 //	                                         # durable per-tenant ε accounting (see below)
 //	lrmserve -max-inflight 8 -queue 16 -deadline 5s
@@ -53,9 +51,10 @@
 //	          "histograms": [[...], ...],   // one or more length-n databases
 //	          "eps":        0.5,            // per-histogram release budget
 //	          "budget":     1.0,            // optional total ε cap for the request
-//	          "seed":       7               // optional: pins the noise stream (debug/audit
-//	                                        // only — omit in production; known seeds are
-//	                                        // subtractable)
+//	          "seed":       7               // optional: pins the request's one noise stream,
+//	                                        // drawn histogram by histogram in order (debug/
+//	                                        // audit only — omit in production; known seeds
+//	                                        // are subtractable)
 //	        }
 //	    Response body: {"answers": [[...], ...], "fingerprint": "..."}
 //	    Exactly one of "workload" and "spec" must be set. A spec names the
@@ -125,8 +124,6 @@ func main() {
 		candidates = flag.String("plan-candidates", "", "auto: comma-separated candidate mechanisms to score (empty = lrm,lm,nor)")
 		cacheDir   = flag.String("cache-dir", "", "directory for persisted decompositions and plans (empty = memory only)")
 		cacheSize  = flag.Int("cache-size", 64, "max prepared workloads resident in memory")
-		workers    = flag.Int("workers", 0, "max concurrent chunks per batch request on the shared worker pool (0 = GOMAXPROCS)")
-		shardRows  = flag.Int("shard-rows", 0, "row-shard workloads with more than this many queries (0 = disabled); shards split eps by sequential composition")
 		maxBody    = flag.Int64("max-body", 64<<20, "maximum request body size in bytes")
 		coWindow   = flag.Duration("coalesce-window", 0, "hold concurrent same-workload answer requests up to this long and answer them as one engine batch (0 = disabled)")
 		coMax      = flag.Int("coalesce-max", 64, "flush a coalescing window early once it holds this many histograms")
@@ -156,8 +153,6 @@ func main() {
 	engOpts := engine.Options{
 		CacheSize: *cacheSize,
 		CacheDir:  *cacheDir,
-		Workers:   *workers,
-		ShardRows: *shardRows,
 	}
 	served := *mechName
 	if *mechName == "auto" {
@@ -174,7 +169,6 @@ func main() {
 		engOpts.Planner = &plan.Options{
 			Config:     mechanism.Config{Coeffs: *coeffs},
 			Mechanisms: cands,
-			ShardRows:  *shardRows,
 		}
 	} else {
 		mech, err := mechanism.ByName(*mechName, mechanism.Config{Coeffs: *coeffs})

@@ -319,14 +319,14 @@ var Evaluate = metrics.Evaluate
 
 // Engine is the serving layer: a long-lived, goroutine-safe answering
 // service that caches prepared workloads (LRU + singleflight), persists
-// LRM decompositions to a cache directory, answers histogram batches
-// through the mechanism's multi-RHS path (or a bounded worker-pool
-// fan-out) with per-request budget accounting, and can row-shard
-// oversized workloads (EngineOptions.ShardRows) with ε split across
-// shards by sequential composition. With EngineOptions.Planner set it
-// plans each workload adaptively (see Plan) and caches the decisions
-// alongside the preparations. See internal/engine for the full
-// semantics and cmd/lrmserve for the HTTP front end.
+// LRM decompositions to a cache directory, and answers every request —
+// one histogram or many — as a single multi-RHS AnswerMany call (the
+// mechanism's packed-GEMM path, or a per-histogram loop for mechanisms
+// without one) with per-request budget accounting. With
+// EngineOptions.Planner set it plans each workload adaptively (see Plan)
+// and caches the decisions alongside the preparations. See
+// internal/engine for the full semantics and cmd/lrmserve for the HTTP
+// front end.
 type Engine = engine.Engine
 
 // EngineOptions configures NewEngine; the zero value serves the LRM with

@@ -83,8 +83,8 @@ func ImplicitPlanSpec() workload.Spec {
 const EngineAnswerManyBatch = 64
 
 // EngineAnswerManySetup builds the engine and the unseeded batch request
-// of BenchmarkEngineAnswerMany (unseeded, so the engine takes the
-// multi-RHS batched path). The caller owns the engine and must issue the
+// of BenchmarkEngineAnswerMany, answered by the LRM's multi-RHS path.
+// The caller owns the engine and must issue the
 // request once to warm the cache before timing. The sequential baseline
 // (BenchmarkEngineAnswerSeq64) answers the same histograms through the
 // same engine one request at a time.

@@ -9,10 +9,11 @@ import (
 	"lrm/internal/workload"
 )
 
-// BenchmarkEngineBatch measures the pooled fan-out path: one request
-// carrying a batch of histograms over a cached workload. (The root
-// package's BenchmarkEngineAnswer covers the single-histogram cache-hit
-// path against the bare-Prepared baseline.)
+// BenchmarkEngineBatch measures a seeded batch on the engine's one
+// answer path: one request carrying 16 histograms over a cached
+// workload, released by a single AnswerMany call (the LRM's packed
+// multi-RHS GEMMs). (The root package's BenchmarkEngineAnswer covers the
+// single-histogram cache-hit path against the bare-Prepared baseline.)
 func BenchmarkEngineBatch(b *testing.B) {
 	e, err := New(Options{Mechanism: mechanism.LRM{Options: core.Options{MaxOuterIter: 10}}})
 	if err != nil {

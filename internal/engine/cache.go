@@ -34,23 +34,6 @@ type flightCall struct {
 	err  error
 }
 
-// cached returns the resident Prepared for a fingerprint without
-// preparing anything on a miss (freshening the LRU and hit counter like
-// any lookup). The sharded path uses it to answer warm shards without
-// materializing their workload rows at all; a false return is not
-// authoritative under concurrency — callers follow up with prepared(),
-// whose singleflight still guarantees at most one preparation.
-func (e *Engine) cached(fp string) (mechanism.Prepared, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if el, ok := e.byFP[fp]; ok {
-		e.lru.MoveToFront(el)
-		e.hits.Add(1)
-		return el.Value.(*cacheEntry).p, true
-	}
-	return nil, false
-}
-
 // prepared returns the Prepared instance for the workload with the given
 // fingerprint, preparing (or loading from disk) at most once per
 // fingerprint no matter how many goroutines ask concurrently.

@@ -13,28 +13,20 @@
 // different process — so the optimization cost is paid once per workload
 // per deployment, not per process.
 //
-// Batches of histograms take the mechanism's multi-RHS path when it has
-// one (mechanism.BatchAnswerer): the batch becomes an n×B matrix and
-// every dense product runs as one packed GEMM, which is both faster than
-// B mat-vecs and scheduler-neutral (the GEMM tiles draw from the shared
-// pool). Seeded batches, and mechanisms without a batch path, fan out
-// per histogram over the same pool (mat.ParallelFor) rather than an
-// engine-owned goroutine fleet, so request-level parallelism and the
-// GEMM tiles of any in-flight Prepare draw from one scheduler instead of
-// oversubscribing each other. Each request may carry its own total-ε
-// cap, checked against the composed spend at entry — before any
-// preparation and before the tenant is charged.
-//
-// Oversized workloads can opt into row-sharded prepare
-// (Options.ShardRows): row blocks decompose concurrently, cache under
-// their own fingerprints, answer at ε/k each (sequential composition),
-// and concatenate — see shard.go.
+// Every request is answered the same way, whatever its size or seed: its
+// histograms become the columns of one n×B matrix and a single
+// mechanism.AnswerMany call releases them all from one noise stream.
+// Mechanisms with a multi-RHS path (mechanism.BatchAnswerer) run each
+// dense product as one packed GEMM whose tiles draw from the shared
+// pool; the rest answer the columns in order through the loop fallback.
+// Each request may carry its own total-ε cap, checked against the
+// composed spend at entry — before any preparation and before the
+// tenant is charged.
 //
 // With Options.Planner set the engine becomes plan-aware: each workload
 // is analyzed and planned (internal/plan) on first sight, the winning
 // mechanism serves it, and the plan is cached and persisted alongside
-// the preparation — see plan.go. Sharding composes: each row shard is
-// planned independently under its own fingerprint.
+// the preparation — see plan.go.
 package engine
 
 import (
@@ -46,7 +38,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -95,32 +86,6 @@ type Options struct {
 	// options digest keeps their files apart). Ignored for mechanisms
 	// other than the LRM, which have no serializable decomposition.
 	CacheDir string
-	// Workers bounds the fan-out width of one batch request (default
-	// GOMAXPROCS): a batch is split into at most Workers chunks, which
-	// are answered concurrently on the numeric stack's shared worker
-	// pool. Single-histogram requests are answered on the caller's
-	// goroutine. Unseeded batches over a mechanism with a multi-RHS path
-	// (mechanism.BatchAnswerer) skip the fan-out entirely: the whole
-	// batch runs as packed multi-RHS GEMMs, whose tiles draw from the
-	// same pool.
-	Workers int
-	// ShardRows, when positive, row-partitions any workload with more
-	// than ShardRows queries into ⌈m/ShardRows⌉ row blocks that are
-	// decomposed concurrently and cached independently — each shard
-	// under its own content fingerprint, so overlapping workloads and
-	// restarts reuse shard preparations, and workloads too large for a
-	// single ALM decomposition become feasible. Answers are the
-	// concatenation of the shard answers.
-	//
-	// Privacy: the shards are answered over the same database, so they
-	// compose sequentially — each shard is released at ε/k (k = number
-	// of shards) and the total per-histogram budget remains exactly the
-	// request's Eps. This is the standard price of sharding: against a
-	// joint decomposition at full ε, expected error grows by up to k²
-	// on each shard's block, traded for an O(k)-smaller optimization
-	// problem per shard and cross-workload shard reuse. Zero disables
-	// sharding.
-	ShardRows int
 	// PrepareHook, when set, is called with the workload fingerprint each
 	// time an actual Prepare executes (not on cache or disk hits). It
 	// exists so tests can count preparations; leave nil in production.
@@ -158,8 +123,7 @@ type Request struct {
 	// Spec is the implicit form of the query batch: a structure-aware
 	// workload.Spec answered without W ever being materialized. Requests
 	// with equal Spec.Digest() share one cached preparation, keyed by
-	// workload.SpecFingerprint. Spec requests never row-shard (there are
-	// no matrix rows to slice). Exactly one of Workload and Spec must be
+	// workload.SpecFingerprint. Exactly one of Workload and Spec must be
 	// set.
 	Spec workload.Spec
 	// Histograms are the databases to answer; each must have Domain()
@@ -174,13 +138,16 @@ type Request struct {
 	// with privacy.ErrBudgetExhausted if len(Histograms)·Eps exceeds it.
 	// Zero means exactly len(Histograms)·Eps, i.e. no extra cap.
 	Budget privacy.Epsilon
-	// Seed, when non-zero, makes the release reproducible: histogram i
-	// draws its noise from a stream seeded with Seed+i regardless of
-	// worker scheduling. This is a debug/audit mode — anyone who knows
-	// the seed can regenerate the noise and subtract it, so a seeded
-	// release carries no privacy against a party that learns the seed.
-	// Zero (the default) draws each histogram's noise from the engine's
-	// unpredictable stream (seeded from crypto/rand at startup, never
+	// Seed, when non-zero, makes the release reproducible: the whole
+	// request draws its noise from one stream seeded with Seed, histogram
+	// by histogram in request order — exactly what looping the prepared
+	// mechanism's Answer over the histograms with rng.New(Seed) releases
+	// (mechanism.AnswerManyLoop). A one-histogram request therefore
+	// equals Answer(x, Eps, rng.New(Seed)). This is a debug/audit mode —
+	// anyone who knows the seed can regenerate the noise and subtract it,
+	// so a seeded release carries no privacy against a party that learns
+	// the seed. Zero (the default) seeds the request's stream from the
+	// engine's unpredictable sequence (crypto/rand at startup, never
 	// repeating), which is the right choice for real private releases.
 	Seed int64
 	// Tenant, when non-empty on an engine configured with an Accountant,
@@ -215,9 +182,11 @@ type Stats struct {
 	// DiskHits and DiskWrites count decompositions restored from and
 	// persisted to the cache directory.
 	DiskHits, DiskWrites uint64
-	// Batched counts batches answered through a mechanism's multi-RHS
-	// path (one packed GEMM per batch instead of a per-histogram
-	// fan-out); Sharded counts requests served by row-sharded prepare.
+	// Batched counts requests answered by a mechanism's native multi-RHS
+	// path (mechanism.BatchAnswerer), whatever their size or seed; the
+	// rest went through the per-histogram loop fallback. Sharded is
+	// always 0: row-sharded serving was removed, and the field stays only
+	// so existing readers of Stats keep compiling.
 	Batched, Sharded uint64
 	// Implicit counts requests served through the spec path (Request.Spec
 	// set): workloads answered with W never materialized.
@@ -263,23 +232,18 @@ type Engine struct {
 	//lrm:guardedby memoMu
 	memo map[*mat.Dense]string
 
-	// fanout bounds how many chunks one batch request is split into on
-	// the shared pool (Options.Workers).
-	fanout int
-
-	// Row sharding (Options.ShardRows): shardPlans memoizes the row
-	// partition of each sharded workload — the sliced shard matrices and
-	// their fingerprints — keyed by the parent workload's fingerprint.
-	shardRows int
-	shardMu   sync.Mutex
-	//lrm:guardedby shardMu
-	shardPlans map[string]*shardPlan
-
-	// Pooled noise sources: Answer reseeds one per histogram instead of
-	// allocating, keeping the cache-hit path at two allocations.
+	// Pooled noise sources: each request reseeds one instead of
+	// allocating a fresh generator.
 	sources sync.Pool
+	// Pooled *[]float64 scratch for batches: it holds the n×B histogram
+	// matrix during AnswerMany and then the transpose of the result.
+	// Allocating both per request added about 0.26 MB of garbage to each
+	// 16-histogram kron:prefix(32)xprefix(32) request, and the extra GC
+	// cycles raised its end-to-end p50 by about a quarter (lrmserve on a
+	// 2-vCPU Xeon).
+	scratch sync.Pool
 
-	// Unseeded requests draw per-histogram seeds from a secret random
+	// Unseeded requests draw their stream's seed from a secret random
 	// base mixed with a unique counter, so their noise is unpredictable
 	// and never repeats across requests.
 	seedBase uint64
@@ -290,8 +254,7 @@ type Engine struct {
 	coalesced, prepares  atomic.Uint64
 	evictions, planned   atomic.Uint64
 	diskHits, diskWrites atomic.Uint64
-	batched, sharded     atomic.Uint64
-	implicit             atomic.Uint64
+	batched, implicit    atomic.Uint64
 }
 
 // memoLimit bounds the fingerprint memo; past it the memo is reset (the
@@ -372,15 +335,7 @@ func New(opts Options) (*Engine, error) {
 	// produces noise.
 	//lint:ignore noiserand pooled sources are Reseed-ed before every use
 	e.sources.New = func() any { return rng.New(0) }
-	e.fanout = opts.Workers
-	if e.fanout <= 0 {
-		e.fanout = runtime.GOMAXPROCS(0)
-	}
-	if opts.ShardRows < 0 {
-		return nil, fmt.Errorf("engine: negative ShardRows %d", opts.ShardRows)
-	}
-	e.shardRows = opts.ShardRows
-	e.shardPlans = make(map[string]*shardPlan)
+	e.scratch.New = func() any { return new([]float64) }
 	return e, nil
 }
 
@@ -466,9 +421,6 @@ func (e *Engine) Answer(req Request) ([][]float64, error) {
 	if fp == "" {
 		fp = e.fingerprint(req.Workload.W)
 	}
-	if e.shardRows > 0 && req.Workload.Queries() > e.shardRows {
-		return e.answerSharded(fp, req)
-	}
 	p, err := e.prepared(fp, req.Workload)
 	if err != nil {
 		return nil, err
@@ -511,8 +463,14 @@ func validateHistograms(req Request, n int) error {
 }
 
 // release is the post-preparation tail shared by the dense and spec
-// paths: commit point, tenant spend, then the actual noisy answers. The
-// per-request budget was already applied by validateHistograms.
+// paths, and the engine's only answer path: commit point, tenant spend,
+// then one mechanism.AnswerMany call over the request's histograms
+// stacked as the columns of an n×B matrix, drawing from one noise stream
+// seeded Seed (or an unpredictable seed when Seed is zero). AnswerMany
+// takes the mechanism's native multi-RHS path when it has one and loops
+// Answer over the columns otherwise; either way the release equals
+// looping Answer with the same source. The per-request budget was
+// already applied by validateHistograms.
 //
 //lrm:sink return — everything release returns leaves the privacy boundary
 func (e *Engine) release(p mechanism.Prepared, req Request) ([][]float64, error) {
@@ -527,123 +485,63 @@ func (e *Engine) release(p mechanism.Prepared, req Request) ([][]float64, error)
 		return nil, err
 	}
 
-	out := make([][]float64, len(req.Histograms))
-	if len(req.Histograms) == 1 {
-		// Single release: answer inline. The pool buys nothing here, and
-		// keeping the fan-out closures out of this function keeps the
-		// cache-hit path at two allocations (the result slices).
-		a, err := e.answerOne(p, req.Histograms[0], req.Eps, e.seedFor(req.Seed, 0))
-		if err != nil {
-			return nil, err
-		}
-		out[0] = a
-		e.answers.Add(1)
-		return out, nil
-	}
-	if err := e.answerBatch(p, req, out); err != nil {
-		return nil, err
-	}
-	e.answers.Add(uint64(len(req.Histograms)))
-	return out, nil
-}
-
-// answerBatch answers a multi-histogram request, filling out in request
-// order. Unseeded batches over a mechanism with a multi-RHS path take the
-// batched route: one packed GEMM per dense product for the whole batch.
-// Seeded batches keep the documented per-histogram stream contract
-// (histogram i is seeded Seed+i, replayable independently), which a
-// single shared stream could not honor, so they fan out per vector like
-// mechanisms without a batch path.
-func (e *Engine) answerBatch(p mechanism.Prepared, req Request, out [][]float64) error {
-	if req.Seed == 0 {
-		if ba, ok := p.(mechanism.BatchAnswerer); ok {
-			return e.answerMany(ba, histogramColumns(req.Histograms), req.Eps, out)
+	hists := req.Histograms
+	n, b := len(hists[0]), len(hists)
+	var x *mat.Dense
+	var scratch *[]float64
+	if b == 1 {
+		x = mat.NewFromData(n, 1, hists[0]) // one column is the histogram itself
+	} else {
+		scratch = e.scratch.Get().(*[]float64)
+		defer e.scratch.Put(scratch)
+		x = mat.NewFromData(n, b, grow(scratch, n*b))
+		for j, h := range hists {
+			x.SetCol(j, h)
 		}
 	}
-	n := len(req.Histograms)
-	seeds := make([]int64, n)
-	for i := range seeds {
-		seeds[i] = e.seedFor(req.Seed, i)
+	seed := req.Seed
+	if seed == 0 {
+		seed = e.nextSeed()
 	}
-	return e.fanOut(p, req.Histograms, req.Eps, seeds, out)
-}
-
-// histogramColumns stacks a request's histograms as the columns of the
-// n×B matrix the multi-RHS path takes.
-func histogramColumns(hists [][]float64) *mat.Dense {
-	x := mat.New(len(hists[0]), len(hists))
-	for j, h := range hists {
-		x.SetCol(j, h)
-	}
-	return x
-}
-
-// answerMany routes one batch through the mechanism's multi-RHS path:
-// histograms become the columns of an n×B matrix (x, built once per
-// request — the sharded path reuses it across shards), one AnswerMany
-// call answers them all (its GEMM tiles parallelize on the shared pool),
-// and the result columns become the per-histogram answer slices. The
-// whole batch draws from one unpredictable noise stream.
-func (e *Engine) answerMany(ba mechanism.BatchAnswerer, x *mat.Dense, eps privacy.Epsilon, out [][]float64) error {
-	b := x.Cols()
 	src := e.sources.Get().(*rng.Source)
-	src.Reseed(e.nextSeed())
-	//lint:ignore epshygiene eps was validated at request entry (validateHistograms, or answerSharded's per-shard check)
-	y, err := ba.AnswerMany(x, eps, src)
+	src.Reseed(seed)
+	//lint:ignore epshygiene eps was validated at request entry (validateHistograms)
+	y, err := mechanism.AnswerMany(p, x, req.Eps, src)
 	e.sources.Put(src)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	m := y.Rows()
-	yd := y.RawData()
+	if _, ok := p.(mechanism.BatchAnswerer); ok {
+		e.batched.Add(1)
+	}
+	e.answers.Add(uint64(b))
+	if b == 1 {
+		return [][]float64{y.RawData()}, nil
+	}
+	// y is m×B row-major and callers want one slice per histogram:
+	// transpose y in place through the scratch buffer, so each answer is a
+	// contiguous row of storage AnswerMany already allocated.
+	m, yd := y.Rows(), y.RawData()
+	t := grow(scratch, m*b)
+	copy(t, yd)
+	out := make([][]float64, b)
 	for j := range out {
-		a := make([]float64, m)
-		for i := 0; i < m; i++ {
-			a[i] = yd[i*b+j]
+		a := yd[j*m : (j+1)*m : (j+1)*m]
+		for i := range a {
+			a[i] = t[i*b+j]
 		}
 		out[j] = a
 	}
-	e.batched.Add(1)
-	return nil
+	return out, nil
 }
 
-// fanOut answers histograms[i] with seeds[i] across the shared worker
-// pool, filling out in order. Seeds are resolved by the caller up front
-// so a seeded release is identical however the chunks are scheduled; the
-// batch is split into at most e.fanout contiguous chunks so one request
-// cannot monopolize the pool beyond its configured width.
-func (e *Engine) fanOut(p mechanism.Prepared, hists [][]float64, eps privacy.Epsilon, seeds []int64, out [][]float64) error {
-	n := len(hists)
-	errs := make([]error, n)
-	width := e.fanout
-	if width > n {
-		width = n
+// grow returns (*buf)[:n], replacing the pooled buffer when it is too
+// small.
+func grow(buf *[]float64, n int) []float64 {
+	if cap(*buf) < n {
+		*buf = make([]float64, n)
 	}
-	chunk := (n + width - 1) / width
-	mat.ParallelFor(width, func(w int) {
-		hi := (w + 1) * chunk
-		if hi > n {
-			hi = n
-		}
-		for i := w * chunk; i < hi; i++ {
-			out[i], errs[i] = e.answerOne(p, hists[i], eps, seeds[i])
-		}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// seedFor resolves the noise seed for histogram i of a request: reqSeed+i
-// when the caller pinned a seed, otherwise a fresh unpredictable value.
-func (e *Engine) seedFor(reqSeed int64, i int) int64 {
-	if reqSeed != 0 {
-		return reqSeed + int64(i)
-	}
-	return e.nextSeed()
+	return (*buf)[:n]
 }
 
 // nextSeed returns an unpredictable, never-repeating seed: splitmix64
@@ -658,15 +556,6 @@ func (e *Engine) nextSeed() int64 {
 	z *= 0x94d049bb133111eb
 	z ^= z >> 31
 	return int64(z)
-}
-
-func (e *Engine) answerOne(p mechanism.Prepared, x []float64, eps privacy.Epsilon, seed int64) ([]float64, error) {
-	src := e.sources.Get().(*rng.Source)
-	src.Reseed(seed)
-	//lint:ignore epshygiene eps was validated at request entry (validateHistograms, or answerSharded's per-shard check)
-	out, err := p.Answer(x, eps, src)
-	e.sources.Put(src)
-	return out, err
 }
 
 // fingerprint returns core.Fingerprint(w), memoized by pointer identity
@@ -706,7 +595,6 @@ func (e *Engine) Stats() Stats {
 		DiskHits:   e.diskHits.Load(),
 		DiskWrites: e.diskWrites.Load(),
 		Batched:    e.batched.Load(),
-		Sharded:    e.sharded.Load(),
 		Implicit:   e.implicit.Load(),
 		Cached:     cached,
 	}

@@ -138,7 +138,7 @@ type PlanDecision struct {
 	// Digest is the plan's content digest (see plan.Plan.Digest).
 	Digest string `json:"digest"`
 	// Summary is the one-line justification (winner, expected SSE,
-	// margin over the runner-up, shard width).
+	// margin over the runner-up).
 	Summary string `json:"summary"`
 }
 

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -156,51 +157,54 @@ func TestPlannedEngineDiskRestoreBaselineWinner(t *testing.T) {
 	}
 }
 
-// TestPlannedEngineCorruptPlanDocument: a truncated document must fall
-// back to a fresh plan, not fail the request.
+// TestPlannedEngineCorruptPlanDocument: a plan document the decoder
+// refuses must fall back to exactly one fresh plan, not fail the
+// request. Two inputs: a truncated document, and a document written
+// before the "shards" field was retired — a cache directory from an
+// older build must re-plan instead of being trusted.
 func TestPlannedEngineCorruptPlanDocument(t *testing.T) {
-	dir := t.TempDir()
-	w := testWorkload(3)
-	req := plannedRequest(w, 9)
+	for _, tc := range []struct {
+		name    string
+		rewrite func(doc []byte) []byte
+	}{
+		{"truncated", func([]byte) []byte { return []byte(`{"mechanism":`) }},
+		{"retired-shards-field", func(doc []byte) []byte {
+			return bytes.Replace(doc, []byte(`"sse":`), []byte(`"shards": 1, "sse":`), 1)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			w := testWorkload(3)
+			req := plannedRequest(w, 9)
 
-	e1 := newPlannedEngine(t, Options{CacheDir: dir})
-	if _, err := e1.Answer(req); err != nil {
-		t.Fatal(err)
-	}
-	docs, err := filepath.Glob(filepath.Join(dir, "*.plan.json"))
-	if err != nil || len(docs) != 1 {
-		t.Fatalf("plan documents %v (err %v), want one", docs, err)
-	}
-	if err := os.WriteFile(docs[0], []byte(`{"mechanism":`), 0o644); err != nil {
-		t.Fatal(err)
-	}
+			e1 := newPlannedEngine(t, Options{CacheDir: dir})
+			if _, err := e1.Answer(req); err != nil {
+				t.Fatal(err)
+			}
+			docs, err := filepath.Glob(filepath.Join(dir, "*.plan.json"))
+			if err != nil || len(docs) != 1 {
+				t.Fatalf("plan documents %v (err %v), want one", docs, err)
+			}
+			doc, err := os.ReadFile(docs[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			bad := tc.rewrite(doc)
+			if bytes.Equal(bad, doc) {
+				t.Fatal("rewrite left the document unchanged")
+			}
+			if err := os.WriteFile(docs[0], bad, 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	e2 := newPlannedEngine(t, Options{CacheDir: dir})
-	if _, err := e2.Answer(req); err != nil {
-		t.Fatal(err)
-	}
-	if st := e2.Stats(); st.Planned != 1 || st.DiskHits != 0 {
-		t.Fatalf("corrupt-doc stats %+v, want a fresh plan and no disk hit", st)
-	}
-}
-
-// TestPlannedEngineSharded: with row sharding, every shard gets its own
-// plan under its own fingerprint.
-func TestPlannedEngineSharded(t *testing.T) {
-	e := newPlannedEngine(t, Options{ShardRows: 5})
-	w := testWorkload(4) // 12 queries → 3 shards of ≤5 rows
-	if _, err := e.Answer(plannedRequest(w, 13)); err != nil {
-		t.Fatal(err)
-	}
-	st := e.Stats()
-	if st.Sharded != 1 {
-		t.Fatalf("sharded %d, want 1", st.Sharded)
-	}
-	if st.Planned != 3 {
-		t.Fatalf("planned %d, want one plan per shard (3)", st.Planned)
-	}
-	if ds := e.Decisions(); len(ds) != 3 {
-		t.Fatalf("decisions %+v, want 3", ds)
+			e2 := newPlannedEngine(t, Options{CacheDir: dir})
+			if _, err := e2.Answer(req); err != nil {
+				t.Fatal(err)
+			}
+			if st := e2.Stats(); st.Planned != 1 || st.Prepares != 1 || st.DiskHits != 0 {
+				t.Fatalf("stats %+v, want exactly one fresh plan and no disk hit", st)
+			}
+		})
 	}
 }
 

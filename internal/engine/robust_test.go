@@ -53,24 +53,6 @@ func TestTenantSpend(t *testing.T) {
 	}
 }
 
-// TestTenantSpendSharded: the sharded path charges the same single
-// composed spend as the unsharded path — ε per histogram, once.
-func TestTenantSpendSharded(t *testing.T) {
-	acct := testAccountant(t, 1.0)
-	e := newTestEngine(t, Options{Accountant: acct, ShardRows: 5})
-	w := testWorkload(310) // 12 queries → 3 shards of ≤5 rows
-	x := testHistogram(w.Domain(), 311)
-	if _, err := e.Answer(Request{Workload: w, Histograms: [][]float64{x}, Eps: 0.3, Tenant: "alice"}); err != nil {
-		t.Fatal(err)
-	}
-	if st := e.Stats(); st.Sharded != 1 {
-		t.Fatalf("request did not take the sharded path: %+v", st)
-	}
-	if got := float64(acct.Spent("alice")); math.Abs(got-0.3) > 1e-9 {
-		t.Fatalf("sharded tenant spent %v, want 0.3", got)
-	}
-}
-
 // TestCancelledRequestSpendsNothing: cancellation before the commit
 // point — at entry or while the Prepare runs — costs the tenant zero ε.
 func TestCancelledRequestSpendsNothing(t *testing.T) {

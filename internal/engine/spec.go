@@ -19,9 +19,9 @@ import (
 // can share a cache directory and never collide), preparation goes
 // through mechanism.PrepareSpec / plan.NewSpec, and the disk artifact
 // for an LRM winner is the factored decomposition (.lrmk: one small
-// (Bᵢ,Lᵢ) pair per Kronecker factor) instead of a dense .lrmd. Row
-// sharding and the pointer memo don't apply — both exist to cope with a
-// matrix, and there isn't one.
+// (Bᵢ,Lᵢ) pair per Kronecker factor) instead of a dense .lrmd. The
+// pointer memo doesn't apply — it exists to cope with a matrix, and
+// there isn't one.
 
 // specFactorCellCap bounds the per-factor materialization used to
 // validate a restored .lrmk against its spec (mirroring loadPrepared's
@@ -43,7 +43,7 @@ func (e *Engine) answerSpec(req Request) ([][]float64, error) {
 	if d, ok := s.(*workload.DenseSpec); ok {
 		// The adapter IS the dense path: same fingerprint (the matrix
 		// digest, no "spec-" namespace), so adapter and plain-Workload
-		// requests share one cache entry, and row sharding still applies.
+		// requests share one cache entry.
 		req.Workload, req.Spec = d.Dense(), nil
 		return e.Answer(req)
 	}

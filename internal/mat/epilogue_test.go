@@ -97,17 +97,36 @@ func TestEpilogueBitIdentity(t *testing.T) {
 }
 
 // TestEpilogueCounter pins the FusedEpilogueRuns accounting: one bump per
-// product with an epilogue, none without.
+// product with an epilogue, none without — for a GEMM-sized product and
+// for a single column, which runs as MulVecTo: bitwise its result, with
+// the epilogue called exactly once over the whole (0, m, 0, 1) column.
 func TestEpilogueCounter(t *testing.T) {
-	a := randDenseSeed(t, 8, 8, 41)
-	b := randDenseSeed(t, 8, 8, 42)
-	before := FusedEpilogueRuns()
-	MulColsTo(New(8, 8), a, b)
-	if d := FusedEpilogueRuns() - before; d != 0 {
-		t.Fatalf("plain MulColsTo bumped the fused-epilogue counter by %d", d)
-	}
-	MulColsEpiTo(New(8, 8), a, b, func(r0, r1, c0, c1 int) {})
-	if d := FusedEpilogueRuns() - before; d != 1 {
-		t.Fatalf("MulColsEpiTo bumped the fused-epilogue counter by %d, want 1", d)
+	for _, n := range []int{8, 1} {
+		a := randDenseSeed(t, 8, 8, 41)
+		b := randDenseSeed(t, 8, n, 42)
+		before := FusedEpilogueRuns()
+		MulColsTo(New(8, n), a, b)
+		if d := FusedEpilogueRuns() - before; d != 0 {
+			t.Fatalf("n=%d: plain MulColsTo bumped the fused-epilogue counter by %d", n, d)
+		}
+		var rects [][4]int
+		got := MulColsEpiTo(New(8, n), a, b, func(r0, r1, c0, c1 int) {
+			rects = append(rects, [4]int{r0, r1, c0, c1})
+		})
+		if d := FusedEpilogueRuns() - before; d != 1 {
+			t.Fatalf("n=%d: MulColsEpiTo bumped the fused-epilogue counter by %d, want 1", n, d)
+		}
+		if n != 1 {
+			continue
+		}
+		if len(rects) != 1 || rects[0] != [4]int{0, 8, 0, 1} {
+			t.Fatalf("single column: epilogue rectangles %v, want exactly [0 8 0 1]", rects)
+		}
+		want := MulVecTo(make([]float64, 8), a, b.RawData())
+		for i, v := range want {
+			if got.At(i, 0) != v {
+				t.Fatalf("single column row %d = %g, MulVecTo says %g", i, got.At(i, 0), v)
+			}
+		}
 	}
 }

@@ -40,6 +40,11 @@ func MulColsTo(dst, a, b *Dense) *Dense {
 // the product underneath, and bit-identical results across worker
 // counts. This is how core.Mechanism.AnswerMany fuses its Laplace-noise
 // pass into the GEMM that produces the intermediate.
+//
+// A single-column b runs as MulVecTo — the very product the column-exact
+// contract promises — instead of a GEMM panel padded to eight columns;
+// the epilogue then runs once over the whole m×1 result and still counts
+// as one fused product.
 func MulColsEpiTo(dst, a, b *Dense, epi TileEpilogue) *Dense {
 	if a.cols != b.rows {
 		dimPanic("MulColsTo", a, b)
@@ -47,6 +52,16 @@ func MulColsEpiTo(dst, a, b *Dense, epi TileEpilogue) *Dense {
 	checkShape("MulColsTo", dst, a.rows, b.cols)
 	noAlias("MulColsTo", dst, a)
 	noAlias("MulColsTo", dst, b)
+	if b.cols == 1 {
+		MulVecTo(dst.data, a, b.data)
+		if epi != nil {
+			fusedEpilogueRuns.Add(1)
+			if a.rows > 0 {
+				epi(0, a.rows, 0, 1)
+			}
+		}
+		return dst
+	}
 	gemmMain(dst, a.rows, b.cols, a.cols,
 		aView{data: a.data, row: a.cols, k: 1},
 		b.data, b.cols, 1, false, true, epi)

@@ -8,15 +8,17 @@ import (
 // MulColsTo: every column of the batched product equals the MulVecTo
 // matrix-vector product of that column, bit for bit, across shapes that
 // exercise every scalar kernel (full 4×8 blocks, the 1×8 short-matrix
-// row kernel, partial trailing panels, single columns) on both the
-// serial and the pool-scheduled dispatch path.
+// row kernel, partial trailing panels, single columns — which run as
+// MulVecTo itself) on both the serial and the pool-scheduled dispatch
+// path.
 func TestMulColsToColumnBitIdentity(t *testing.T) {
 	shapes := []struct{ m, k, n int }{
 		{1, 1, 1},
-		{3, 5, 1},   // single column: partial panel, short matrix
-		{2, 9, 5},   // fewer rows than gemmMR, partial panel
-		{4, 8, 8},   // exactly one full panel of 4×8 blocks
-		{7, 13, 11}, // row tail + partial trailing panel
+		{3, 5, 1},     // single column: the MulVecTo branch
+		{300, 257, 1}, // single column large enough for the pooled mat-vec
+		{2, 9, 5},     // fewer rows than gemmMR, partial panel
+		{4, 8, 8},     // exactly one full panel of 4×8 blocks
+		{7, 13, 11},   // row tail + partial trailing panel
 		{64, 77, 64},
 		{65, 129, 70}, // odd everything
 	}

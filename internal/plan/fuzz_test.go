@@ -18,7 +18,6 @@ func FuzzPlanDecode(f *testing.F) {
 		Mechanism:   "lm",
 		Eps:         0.5,
 		SSE:         1.25,
-		Shards:      1,
 		Candidates: []Candidate{
 			{Name: "lm", SSE: 1.25, Source: "analytic"},
 			{Name: "lrm", SSE: math.NaN(), Source: "skipped", Reason: "fixture"},
@@ -32,7 +31,7 @@ func FuzzPlanDecode(f *testing.F) {
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
 	f.Add([]byte("{}"))
-	f.Add([]byte(`{"mechanism":"lm","eps":1,"sse":0,"shards":1,"fingerprint":"x","digest":"nope","lrm_options":{}}`))
+	f.Add([]byte(`{"mechanism":"lm","eps":1,"sse":0,"fingerprint":"x","digest":"nope","lrm_options":{}}`))
 	tampered := bytes.Clone(valid)
 	tampered[bytes.IndexByte(tampered, '5')] = '6'
 	f.Add(tampered)
@@ -46,8 +45,8 @@ func FuzzPlanDecode(f *testing.F) {
 		if err := p.Eps.Validate(); err != nil {
 			t.Fatalf("accepted invalid eps: %v", err)
 		}
-		if p.Shards < 1 || p.Fingerprint == "" {
-			t.Fatalf("accepted invalid plan: shards %d, fingerprint %q", p.Shards, p.Fingerprint)
+		if p.Fingerprint == "" {
+			t.Fatal("accepted a plan with no fingerprint")
 		}
 		if math.IsNaN(p.SSE) || math.IsInf(p.SSE, 0) || p.SSE < 0 {
 			t.Fatalf("accepted invalid sse %v", p.SSE)

@@ -59,11 +59,6 @@ type Options struct {
 	// tuned by the planner to the paper's recommendation, ⌈1.2·rank(W)⌉,
 	// from the analysis — and the tuned value is recorded in the Plan.
 	LRM core.Options
-	// ShardRows mirrors the serving engine's row-sharding threshold so
-	// the plan records whether (and how wide) the workload will shard.
-	// Zero means no sharding. The decision itself lives in the engine;
-	// the plan surfaces it for Explain and the digest.
-	ShardRows int
 	// ProbeTrials is the number of Monte-Carlo draws behind an empirical
 	// probe score (candidates whose ExpectedSSE has no closed form).
 	// Zero means 16.
@@ -122,10 +117,6 @@ type Plan struct {
 	Eps privacy.Epsilon `json:"eps"`
 	// SSE is the winner's expected SSE at Eps.
 	SSE float64 `json:"sse"`
-	// Shards is the serving width recorded from Options.ShardRows: 1
-	// means unsharded, k means the engine will row-shard into k blocks
-	// (each shard then gets its own plan under its own fingerprint).
-	Shards int `json:"shards"`
 	// SpecDesc, when non-empty, marks a plan made through the implicit
 	// spec path (NewSpec): it is the workload.Spec's Describe() form, so
 	// the engine can tell a factored strategy from a dense one when it
@@ -190,12 +181,8 @@ func New(w *workload.Workload, opts Options) (*Plan, error) {
 	p := &Plan{
 		Fingerprint: fp,
 		Eps:         eps,
-		Shards:      1,
 		LRMOptions:  tunedLRM(opts.LRM, stats),
 		Stats:       stats,
-	}
-	if opts.ShardRows > 0 && stats.Queries > opts.ShardRows {
-		p.Shards = (stats.Queries + opts.ShardRows - 1) / opts.ShardRows
 	}
 
 	bestSSE := math.Inf(1)
@@ -324,8 +311,8 @@ func probeSSE(p mechanism.Prepared, w *workload.Workload, eps privacy.Epsilon, o
 }
 
 // Digest is a content hash of the decision and its justification:
-// fingerprint, scoring budget, winner, tuned parameters, shard width,
-// every candidate's score, and the analysis summary the scores rest on.
+// fingerprint, scoring budget, winner, tuned parameters, every
+// candidate's score, and the analysis summary the scores rest on.
 // Two plans with equal digests made the same decision for the same
 // workload, so engines append it to their cache keys — a replanned
 // workload whose decision changed (new candidate set, retuned options)
@@ -334,7 +321,7 @@ func probeSSE(p mechanism.Prepared, w *workload.Workload, eps privacy.Epsilon, o
 // included) can be hand-edited undetected.
 func (p *Plan) Digest() string {
 	h := sha256.New()
-	fmt.Fprintf(h, "%s|%v|%s|%v|%d|%#v\n", p.Fingerprint, float64(p.Eps), p.Mechanism, p.SSE, p.Shards, p.LRMOptions)
+	fmt.Fprintf(h, "%s|%v|%s|%v|%#v\n", p.Fingerprint, float64(p.Eps), p.Mechanism, p.SSE, p.LRMOptions)
 	if p.SpecDesc != "" {
 		// Only spec plans hash the descriptor: dense plan digests predate
 		// the field and must not change under it.
@@ -359,9 +346,6 @@ func (p *Plan) Summary() string {
 		fmt.Fprintf(&b, ", %.3g× better than %s", sse/p.SSE, name)
 	}
 	b.WriteString(")")
-	if p.Shards > 1 {
-		fmt.Fprintf(&b, " sharded ×%d", p.Shards)
-	}
 	return b.String()
 }
 

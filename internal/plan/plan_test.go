@@ -188,23 +188,28 @@ func TestPlanAllSkipped(t *testing.T) {
 	}
 }
 
-// TestPlanShardsRecorded: the shard decision mirrors the engine's
-// ShardRows rule and lands in the digest.
-func TestPlanShardsRecorded(t *testing.T) {
+// TestDecodeRejectsRetiredShards: a document written before the plan's
+// "shards" field was retired must be refused by the strict decoder, so
+// an engine re-plans instead of serving a decision it cannot re-verify.
+func TestDecodeRejectsRetiredShards(t *testing.T) {
 	w := workload.Range(20, 16, rng.New(9))
-	p, err := New(w, Options{Mechanisms: []string{"lm"}, ShardRows: 8})
+	p, err := New(w, Options{Mechanisms: []string{"lm"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Shards != 3 { // ⌈20/8⌉
-		t.Fatalf("shards %d, want 3", p.Shards)
-	}
-	flat, err := New(w, Options{Mechanisms: []string{"lm"}})
-	if err != nil {
+	var buf bytes.Buffer
+	if err := p.Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if flat.Shards != 1 || flat.Digest() == p.Digest() {
-		t.Fatalf("shard decision not reflected in digest (%s vs %s)", flat.Digest(), p.Digest())
+	if _, err := Decode(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatalf("current document rejected: %v", err)
+	}
+	old := strings.Replace(buf.String(), `"sse":`, `"shards": 1, "sse":`, 1)
+	if old == buf.String() {
+		t.Fatal("shards insertion missed")
+	}
+	if _, err := Decode(strings.NewReader(old)); err == nil || !strings.Contains(err.Error(), "shards") {
+		t.Fatalf("document with the retired shards field: err = %v, want an unknown-field rejection", err)
 	}
 }
 
@@ -227,7 +232,7 @@ func TestPlanExplain(t *testing.T) {
 // digest; tampering is rejected.
 func TestPlanRoundTrip(t *testing.T) {
 	w := workload.Related(24, 32, 3, rng.New(4))
-	p, err := New(w, Options{LRM: fastLRM(), ShardRows: 10})
+	p, err := New(w, Options{LRM: fastLRM()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +245,7 @@ func TestPlanRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.Mechanism != p.Mechanism || got.Digest() != p.Digest() ||
-		got.Shards != p.Shards || got.LRMOptions != p.LRMOptions ||
+		got.LRMOptions != p.LRMOptions ||
 		got.Fingerprint != p.Fingerprint {
 		t.Fatalf("round trip changed the plan:\n%+v\nvs\n%+v", got, p)
 	}

@@ -44,7 +44,6 @@ type planDoc struct {
 	Mechanism   string         `json:"mechanism"`
 	Eps         float64        `json:"eps"`
 	SSE         float64        `json:"sse"`
-	Shards      int            `json:"shards"`
 	Spec        string         `json:"spec,omitempty"`
 	LRMOptions  core.Options   `json:"lrm_options"`
 	Candidates  []candidateDoc `json:"candidates"`
@@ -69,7 +68,6 @@ func (p *Plan) Encode(w io.Writer) error {
 		Mechanism:   p.Mechanism,
 		Eps:         float64(p.Eps),
 		SSE:         p.SSE,
-		Shards:      p.Shards,
 		Spec:        p.SpecDesc,
 		LRMOptions:  p.LRMOptions,
 		Digest:      p.Digest(),
@@ -101,8 +99,11 @@ func (p *Plan) Encode(w io.Writer) error {
 
 // Decode restores a plan persisted with Encode, validating that the
 // winner is a registered mechanism, the scoring budget is valid, and
-// the stored digest matches the recomputed one. The returned Plan
-// carries the decision only — Prepared() is nil.
+// the stored digest matches the recomputed one. Unknown keys are
+// rejected, so a document written by an older schema (for example one
+// still carrying the retired "shards" field) fails to decode and the
+// engine re-plans instead of trusting it. The returned Plan carries the
+// decision only — Prepared() is nil.
 func Decode(r io.Reader) (*Plan, error) {
 	var doc planDoc
 	dec := json.NewDecoder(r)
@@ -119,16 +120,14 @@ func Decode(r io.Reader) (*Plan, error) {
 	if err := privacy.Epsilon(doc.Eps).Validate(); err != nil {
 		return nil, fmt.Errorf("plan: document eps: %w", err)
 	}
-	if doc.Shards < 1 || doc.Fingerprint == "" || math.IsNaN(doc.SSE) || math.IsInf(doc.SSE, 0) || doc.SSE < 0 {
-		return nil, fmt.Errorf("plan: document invalid (shards %d, sse %v, fingerprint %q)",
-			doc.Shards, doc.SSE, doc.Fingerprint)
+	if doc.Fingerprint == "" || math.IsNaN(doc.SSE) || math.IsInf(doc.SSE, 0) || doc.SSE < 0 {
+		return nil, fmt.Errorf("plan: document invalid (sse %v, fingerprint %q)", doc.SSE, doc.Fingerprint)
 	}
 	p := &Plan{
 		Fingerprint: doc.Fingerprint,
 		Mechanism:   doc.Mechanism,
 		Eps:         privacy.Epsilon(doc.Eps),
 		SSE:         doc.SSE,
-		Shards:      doc.Shards,
 		SpecDesc:    doc.Spec,
 		LRMOptions:  doc.LRMOptions,
 	}

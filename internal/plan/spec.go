@@ -19,8 +19,6 @@ import (
 //     adapter path, with identical plans and digests.
 //   - No Monte-Carlo probe: a candidate with neither a closed form nor
 //     a spec path is skipped with a reason, never silently scored.
-//   - No row sharding (Options.ShardRows is ignored): sharding splits
-//     the matrix's rows, and there is no matrix.
 //   - Options.LRM.Rank applies per Kronecker factor (zero keeps each
 //     factor's ⌈1.2·rank⌉ default); the planner does not tune it against
 //     the product rank, which would be meaningless for a factored
@@ -67,7 +65,6 @@ func NewSpec(s workload.Spec, opts Options) (*Plan, error) {
 	p := &Plan{
 		Fingerprint: fp,
 		Eps:         eps,
-		Shards:      1,
 		SpecDesc:    s.Describe(),
 		LRMOptions:  opts.LRM,
 		Stats:       stats,
