@@ -363,6 +363,22 @@ func BenchmarkImplicitPlan(b *testing.B) {
 	}
 }
 
+// BenchmarkSpecPrepareLRM measures the fixed-LRM preparation of a
+// Kronecker spec: the spec-batch serving workload's first-request cost
+// on `lrmserve -mech lrm`. kron:prefix(32)xprefix(32) is full rank, so
+// the planner skips lrm and BenchmarkImplicitPlan never reaches this
+// path. Its two factors are the same matrix, so one op is one ALM run.
+func BenchmarkSpecPrepareLRM(b *testing.B) {
+	s := benchsuite.ImplicitPlanSpec()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := mechanism.PrepareSpec(mechanism.LRM{}, s, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkMatMul256Alloc keeps the old allocating-path measurement for
 // comparison against BenchmarkMatMul256.
 func BenchmarkMatMul256Alloc(b *testing.B) {

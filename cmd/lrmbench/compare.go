@@ -19,12 +19,12 @@ import (
 
 // tier1Benchmarks are the kernels the gate protects: the tentpole GEMM
 // size, the end-to-end ALM decomposition, the adaptive planner (dense
-// and implicit), and the engine's serving paths. A tier-1 name missing
-// from the new run fails the gate (a silently dropped benchmark is how
-// regressions hide); one missing from the old baseline is reported as
-// new and skipped, so adding a kernel does not require rewriting
-// history.
-var tier1Benchmarks = []string{"MatMul512", "DecomposeBench", "Plan", "ImplicitPlan", "EngineAnswer", "EngineAnswerMany"}
+// and implicit), the fixed-LRM spec preparation, and the engine's
+// serving paths. A tier-1 name missing from the new run fails the gate
+// (a silently dropped benchmark is how regressions hide); one missing
+// from the old baseline is reported as new and skipped, so adding a
+// kernel does not require rewriting history.
+var tier1Benchmarks = []string{"MatMul512", "DecomposeBench", "Plan", "ImplicitPlan", "SpecPrepareLRM", "EngineAnswer", "EngineAnswerMany"}
 
 // compareBenchFiles loads two trajectory documents and gates new against
 // old at the given tolerance (0.30 = fail on >30% slowdown), writing a

@@ -11,7 +11,7 @@ import (
 
 func benchDoc(ns map[string]int64) *benchDocument {
 	doc := &benchDocument{}
-	for _, name := range []string{"MatMul256", "MatMul512", "MatMul1024", "DecomposeBench", "Plan", "ImplicitPlan", "EngineAnswer", "EngineAnswerMany", "EngineAnswerSeq64"} {
+	for _, name := range []string{"MatMul256", "MatMul512", "MatMul1024", "DecomposeBench", "Plan", "ImplicitPlan", "SpecPrepareLRM", "EngineAnswer", "EngineAnswerMany", "EngineAnswerSeq64"} {
 		if v, ok := ns[name]; ok {
 			doc.Benchmarks = append(doc.Benchmarks, benchResult{Name: name, Iterations: 1, NsPerOp: v})
 		}
@@ -22,8 +22,8 @@ func benchDoc(ns map[string]int64) *benchDocument {
 func fullDoc(scale int64) map[string]int64 {
 	return map[string]int64{
 		"MatMul256": 1000 * scale, "MatMul512": 8000 * scale, "MatMul1024": 64000 * scale,
-		"DecomposeBench": 200000 * scale, "Plan": 250000 * scale, "ImplicitPlan": 30 * scale, "EngineAnswer": 70 * scale,
-		"EngineAnswerMany": 1500 * scale, "EngineAnswerSeq64": 4500 * scale,
+		"DecomposeBench": 200000 * scale, "Plan": 250000 * scale, "ImplicitPlan": 30 * scale, "SpecPrepareLRM": 200000 * scale,
+		"EngineAnswer": 70 * scale, "EngineAnswerMany": 1500 * scale, "EngineAnswerSeq64": 4500 * scale,
 	}
 }
 

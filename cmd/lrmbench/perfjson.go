@@ -22,6 +22,7 @@ import (
 	"lrm/internal/benchsuite"
 	"lrm/internal/core"
 	"lrm/internal/mat"
+	"lrm/internal/mechanism"
 	"lrm/internal/plan"
 )
 
@@ -151,6 +152,20 @@ func writeBenchJSON(path string) error {
 		}
 	})
 	doc.Benchmarks = append(doc.Benchmarks, record("ImplicitPlan", res, 0))
+
+	// Fixed-LRM preparation of the same spec (BenchmarkSpecPrepareLRM):
+	// the factored ALM a `-mech lrm` server runs on its first spec-batch
+	// request. The planner skips lrm on this full-rank spec, so
+	// ImplicitPlan above never measures it.
+	res = testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := mechanism.PrepareSpec(mechanism.LRM{}, sp, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	doc.Benchmarks = append(doc.Benchmarks, record("SpecPrepareLRM", res, 0))
 
 	// Engine cache-hit answering path (BenchmarkEngineAnswer).
 	e, req, err := benchsuite.EngineAnswerSetup()

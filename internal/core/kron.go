@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"sync"
 
 	"lrm/internal/mat"
@@ -27,16 +29,28 @@ type KronDecomposition struct {
 	Factors []*Decomposition
 }
 
-// DecomposeKron runs Decompose on each factor. opts applies per factor
-// (in particular Rank: zero keeps the per-factor 1.2·rank default;
-// a positive value caps each factor's inner dimension, not the
+// DecomposeKron runs Decompose once per distinct factor. opts applies
+// per factor (in particular Rank: zero keeps the per-factor 1.2·rank
+// default; a positive value caps each factor's inner dimension, not the
 // product's).
+//
+// Factors with the same shape and the same float64 bits (compared
+// exactly, so −0 and +0 differ) share one *Decomposition: Decompose is
+// deterministic, so the result is bit-for-bit what decomposing each
+// factor separately gives, at the cost of the distinct factors alone —
+// a square grid such as prefix(N)⊗prefix(N) runs Algorithm 1 once.
+// Because entries may alias, the returned decomposition must not be
+// mutated (the same contract NewKronMechanism already imposes).
 func DecomposeKron(factors []*mat.Dense, opts Options) (*KronDecomposition, error) {
 	if len(factors) == 0 {
 		return nil, errors.New("core: DecomposeKron with no factors")
 	}
 	out := &KronDecomposition{Factors: make([]*Decomposition, len(factors))}
 	for i, f := range factors {
+		if j := slices.IndexFunc(factors[:i], func(p *mat.Dense) bool { return sameBits(p, f) }); j >= 0 {
+			out.Factors[i] = out.Factors[j]
+			continue
+		}
 		d, err := Decompose(f, opts)
 		if err != nil {
 			return nil, fmt.Errorf("core: kron factor %d: %w", i+1, err)
@@ -44,6 +58,15 @@ func DecomposeKron(factors []*mat.Dense, opts Options) (*KronDecomposition, erro
 		out.Factors[i] = d
 	}
 	return out, nil
+}
+
+// sameBits reports whether a and b have the same shape and the same
+// float64 bits in every entry.
+func sameBits(a, b *mat.Dense) bool {
+	return a.Rows() == b.Rows() && a.Cols() == b.Cols() &&
+		slices.EqualFunc(a.RawData(), b.RawData(), func(x, y float64) bool {
+			return math.Float64bits(x) == math.Float64bits(y)
+		})
 }
 
 // Scale returns Φ(⊗Bᵢ) = Π Φ(Bᵢ).

@@ -8,6 +8,7 @@ import (
 	"lrm/internal/mat"
 	"lrm/internal/privacy"
 	"lrm/internal/rng"
+	"lrm/internal/workload"
 )
 
 func randDense(r, c int, seed int64) *mat.Dense {
@@ -96,6 +97,80 @@ func TestDecomposeKron(t *testing.T) {
 	wantSSE := (&Decomposition{B: bigB, L: bigL}).ExpectedSSE(0.5)
 	if got := kd.ExpectedSSE(0.5); math.Abs(got-wantSSE) > 1e-9*(1+wantSSE) {
 		t.Errorf("ExpectedSSE %g, assembled %g", got, wantSSE)
+	}
+}
+
+// materialize returns the dense matrix of a spec literal such as
+// "prefix(8)".
+func materialize(t *testing.T, lit string) *mat.Dense {
+	t.Helper()
+	s, err := workload.ParseSpec(lit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := workload.MaterializeSpec(s, 1<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w.W
+}
+
+// TestDecomposeKronRepeatedFactors: factors with identical bits share
+// one ALM run, and every entry is bit-identical to a standalone
+// Decompose of its matrix. Not parallel: mat.SVDCalls is process-wide,
+// and each Decompose factors its matrix exactly once.
+func TestDecomposeKronRepeatedFactors(t *testing.T) {
+	p, q := materialize(t, "prefix(8)"), materialize(t, "ranges(4)")
+	want := make(map[*mat.Dense]*Decomposition)
+	for _, w := range []*mat.Dense{p, q} {
+		d, err := Decompose(w, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[w] = d
+	}
+
+	before := mat.SVDCalls()
+	factors := []*mat.Dense{p, p, q}
+	kd, err := DecomposeKron(factors, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := mat.SVDCalls() - before; got != 2 {
+		t.Fatalf("DecomposeKron({P,P,Q}) ran %d SVDs, want 2 (one per distinct factor)", got)
+	}
+	for i, f := range factors {
+		got, w := kd.Factors[i], want[f]
+		if !sameBits(got.B, w.B) || !sameBits(got.L, w.L) ||
+			math.Float64bits(got.Residual) != math.Float64bits(w.Residual) ||
+			got.OuterIterations != w.OuterIterations || got.Converged != w.Converged {
+			t.Fatalf("factor %d differs from a standalone Decompose of its matrix", i+1)
+		}
+	}
+
+	// One ulp apart, or −0 where P has +0, is a different matrix: the key
+	// is the exact bits, not ==.
+	for _, tc := range []struct {
+		name string
+		at   int
+		v    float64
+	}{
+		{"P+1ulp", 0, math.Nextafter(p.At(0, 0), 2)},
+		{"P with -0", 1, math.Copysign(0, -1)},
+	} {
+		p2 := p.Clone()
+		p2.RawData()[tc.at] = tc.v
+		before = mat.SVDCalls()
+		kd, err = DecomposeKron([]*mat.Dense{p, p2, q}, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := mat.SVDCalls() - before; got != 3 {
+			t.Fatalf("DecomposeKron({P,%s,Q}) ran %d SVDs, want 3", tc.name, got)
+		}
+		if kd.Factors[0] == kd.Factors[1] {
+			t.Fatalf("%s shares P's decomposition", tc.name)
+		}
 	}
 }
 

@@ -23,11 +23,6 @@ import (
 // pointer memo doesn't apply — it exists to cope with a matrix, and
 // there isn't one.
 
-// specFactorCellCap bounds the per-factor materialization used to
-// validate a restored .lrmk against its spec (mirroring loadPrepared's
-// residual check, factor by factor).
-const specFactorCellCap = 1 << 22
-
 // answerSpec serves one implicit request end to end.
 //
 //lrm:sink return — everything answerSpec returns leaves the privacy boundary
@@ -210,8 +205,9 @@ func kronDecompositionOf(p mechanism.Prepared) (*core.KronDecomposition, bool) {
 // product with the same factor count, and each factor's (Bᵢ,Lᵢ) must
 // reproduce the materialized factor matrix within its stored residual —
 // the per-factor mirror of loadPrepared's dense integrity check. The
-// factors are small (specFactorCellCap), so the check costs factor-sized
-// GEMMs, never an m×n product.
+// factors are small — the same mechanism.LRMFactorCellCap the LRM
+// decomposes under — so the check costs factor-sized GEMMs, never an
+// m×n product.
 func (e *Engine) loadPreparedKron(path string, s workload.Spec, gamma float64) (mechanism.Prepared, error) {
 	k, ok := s.(*workload.KronSpec)
 	if !ok {
@@ -232,7 +228,7 @@ func (e *Engine) loadPreparedKron(path string, s workload.Spec, gamma float64) (
 	}
 	for i, fd := range d.Factors {
 		fs := specs[i]
-		fw, err := workload.MaterializeSpec(fs, specFactorCellCap)
+		fw, err := workload.MaterializeSpec(fs, mechanism.LRMFactorCellCap)
 		if err != nil {
 			return nil, fmt.Errorf("engine: kron factor %d: %w", i+1, err)
 		}

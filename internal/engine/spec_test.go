@@ -178,38 +178,57 @@ func TestSpecPlannedDiskRestoreBaseline(t *testing.T) {
 
 // TestSpecFixedLRMDiskRestore: a fixed-mechanism LRM engine persists the
 // factored decomposition as .lrmk and a second engine restores it with
-// zero prepares and bit-identical answers.
+// zero prepares, through loadPreparedKron's per-factor residual check,
+// and with bit-identical answers. The square grid's two factors are the
+// same matrix, so its decomposition shares one (Bᵢ,Lᵢ) between them.
 func TestSpecFixedLRMDiskRestore(t *testing.T) {
-	dir := t.TempDir()
-	s := lowRankKronSpec(50)
-	x := testHistogram(s.Domain(), 51)
-	req := Request{Spec: s, Histograms: [][]float64{x}, Eps: 0.9, Seed: 52}
-
-	e1 := newTestEngine(t, Options{CacheDir: dir})
-	got1, err := e1.Answer(req)
+	square, err := workload.ParseSpec("kron:prefix(8)xprefix(8)")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := e1.Stats(); st.Prepares != 1 || st.DiskWrites != 1 {
-		t.Fatalf("first engine stats = %+v, want 1 prepare and 1 disk write", st)
-	}
+	for _, tc := range []struct {
+		name string
+		s    workload.Spec
+	}{
+		{"low-rank", lowRankKronSpec(50)},
+		{"shared-factor", square},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s := tc.s
+			x := testHistogram(s.Domain(), 51)
+			req := Request{Spec: s, Histograms: [][]float64{x}, Eps: 0.9, Seed: 52}
 
-	var p2 atomic.Int64
-	e2 := newTestEngine(t, Options{CacheDir: dir, PrepareHook: func(string) { p2.Add(1) }})
-	got2, err := e2.Answer(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p2.Load() != 0 {
-		t.Fatalf("second engine ran %d prepares, want 0", p2.Load())
-	}
-	if st := e2.Stats(); st.DiskHits != 1 {
-		t.Fatalf("second engine stats = %+v, want 1 disk hit", st)
-	}
-	for i := range got1[0] {
-		if got1[0][i] != got2[0][i] {
-			t.Fatalf("restored engine diverges at row %d", i)
-		}
+			e1 := newTestEngine(t, Options{CacheDir: dir})
+			got1, err := e1.Answer(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := e1.Stats(); st.Prepares != 1 || st.DiskWrites != 1 {
+				t.Fatalf("first engine stats = %+v, want 1 prepare and 1 disk write", st)
+			}
+
+			var p2 atomic.Int64
+			e2 := newTestEngine(t, Options{CacheDir: dir, PrepareHook: func(string) { p2.Add(1) }})
+			if _, err := e2.loadPreparedKron(e1.specDiskPath(workload.SpecFingerprint(s)), s, e2.gamma); err != nil {
+				t.Fatalf("restored .lrmk fails the per-factor check: %v", err)
+			}
+			got2, err := e2.Answer(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p2.Load() != 0 {
+				t.Fatalf("second engine ran %d prepares, want 0", p2.Load())
+			}
+			if st := e2.Stats(); st.DiskHits != 1 {
+				t.Fatalf("second engine stats = %+v, want 1 disk hit", st)
+			}
+			for i := range got1[0] {
+				if math.Float64bits(got1[0][i]) != math.Float64bits(got2[0][i]) {
+					t.Fatalf("restored engine diverges at row %d", i)
+				}
+			}
+		})
 	}
 }
 

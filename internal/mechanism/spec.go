@@ -94,11 +94,14 @@ func (p *laplaceResultsSpec) ExpectedSSE(eps privacy.Epsilon) float64 {
 	return 2 * float64(p.s.Queries()) * p.delta * p.delta / (e * e)
 }
 
-// lrmFactorCellCap bounds the per-factor matrices the factored LRM path
+// LRMFactorCellCap bounds the per-factor matrices the factored LRM path
 // will materialize for its per-factor ALM runs. Factors are the small
 // building blocks of a Kronecker spec; anything past this cap is not a
 // "small factor" and the decomposition would dominate the savings.
-const lrmFactorCellCap = 1 << 22
+// Restoring a persisted factored decomposition validates each factor
+// against the same cap, so whatever the LRM can decompose it can also
+// restore.
+const LRMFactorCellCap = 1 << 22
 
 // PrepareSpec implements SpecPreparer for the Low-Rank Mechanism. Only
 // Kronecker specs have a factored decomposition: each (small) factor is
@@ -127,7 +130,7 @@ func (l LRM) decomposeKron(k *workload.KronSpec) (*core.KronDecomposition, error
 	specs := k.Factors()
 	factors := make([]*mat.Dense, len(specs))
 	for i, fs := range specs {
-		fw, err := workload.MaterializeSpec(fs, lrmFactorCellCap)
+		fw, err := workload.MaterializeSpec(fs, LRMFactorCellCap)
 		if err != nil {
 			return nil, fmt.Errorf("mechanism: kron factor %d: %w", i+1, err)
 		}
