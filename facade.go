@@ -340,7 +340,8 @@ type EngineRequest = engine.Request
 // EngineStats is the counter snapshot returned by Engine.Stats.
 type EngineStats = engine.Stats
 
-// NewEngine starts an answering engine. Close it to stop its workers.
+// NewEngine starts an answering engine. Close it to release its durable
+// accountant and refuse further Answer calls.
 var NewEngine = engine.New
 
 // WorkloadFingerprint returns the content hash the engine keys caches by

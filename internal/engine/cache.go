@@ -5,9 +5,9 @@ import (
 	"io"
 	"math"
 	"path/filepath"
+	"strings"
 
 	"lrm/internal/core"
-	"lrm/internal/faultfs"
 	"lrm/internal/mat"
 	"lrm/internal/mechanism"
 	"lrm/internal/plan"
@@ -35,18 +35,11 @@ type flightCall struct {
 }
 
 // prepared returns the Prepared instance for the workload with the given
-// fingerprint, preparing (or loading from disk) at most once per
-// fingerprint no matter how many goroutines ask concurrently.
-func (e *Engine) prepared(fp string, w *workload.Workload) (mechanism.Prepared, error) {
-	return e.preparedWith(fp, func() (mechanism.Prepared, *plan.Plan, error) {
-		return e.load(fp, w)
-	})
-}
-
-// preparedWith is the cache/singleflight core shared by the dense and
-// spec paths: one LRU lookup, one in-flight coalesce, and at most one
-// invocation of load per fingerprint however many goroutines ask.
-func (e *Engine) preparedWith(fp string, load func() (mechanism.Prepared, *plan.Plan, error)) (mechanism.Prepared, error) {
+// fingerprint: one LRU lookup, one in-flight coalesce, and at most one
+// load per fingerprint however many goroutines ask concurrently. spec is
+// called only on a miss, so a dense request builds its workload.AsSpec
+// adapter only when it actually has to be restored or prepared.
+func (e *Engine) prepared(fp string, spec func() workload.Spec) (mechanism.Prepared, error) {
 	e.mu.Lock()
 	if el, ok := e.byFP[fp]; ok {
 		e.lru.MoveToFront(el)
@@ -65,7 +58,7 @@ func (e *Engine) preparedWith(fp string, load func() (mechanism.Prepared, *plan.
 	e.mu.Unlock()
 
 	e.misses.Add(1)
-	p, pl, err := load()
+	p, pl, err := e.load(fp, spec())
 
 	e.mu.Lock()
 	delete(e.flight, fp)
@@ -109,135 +102,267 @@ func (e *Engine) dropMemo(fp string) {
 }
 
 // load produces the Prepared (and, on a plan-aware engine, the Plan) for
-// one fingerprint: disk cache first (when configured and the mechanism
-// supports it), then a fresh Prepare, which is persisted back to disk for
-// the next process.
-func (e *Engine) load(fp string, w *workload.Workload) (mechanism.Prepared, *plan.Plan, error) {
-	if e.planner != nil {
-		return e.loadPlanned(fp, w)
-	}
-	path := e.diskPath(fp)
-	if path != "" {
-		if p, err := loadPrepared(e.fs, path, w, e.gamma); err == nil {
+// one fingerprint, whatever the workload's kind: restore from the cache
+// directory when one is configured, otherwise prepare — plan.NewSpec on a
+// plan-aware engine (whose scoring already prepares the winner), the
+// fixed mechanism's PrepareSpec otherwise — and persist the result for
+// the next process. Both preparers unwrap a *workload.DenseSpec to the
+// dense plan.New / Mechanism.Prepare.
+func (e *Engine) load(fp string, s workload.Spec) (mechanism.Prepared, *plan.Plan, error) {
+	if e.dir != "" {
+		if p, pl, err := e.restore(fp, s); err == nil {
 			e.diskHits.Add(1)
-			return p, nil, nil
+			return p, pl, nil
 		}
-		// A missing, corrupt, or mismatched cache file must never take
+		// A missing, corrupt, or mismatched artifact must never take
 		// down serving: fall through to a fresh preparation.
 	}
 	e.prepares.Add(1)
 	if e.hook != nil {
 		e.hook(fp)
 	}
-	p, err := e.mech.Prepare(w)
+	var (
+		p   mechanism.Prepared
+		pl  *plan.Plan
+		err error
+	)
+	if e.planner != nil {
+		opts := *e.planner
+		opts.Fingerprint = fp
+		if pl, err = plan.NewSpec(s, opts); err != nil {
+			return nil, nil, err
+		}
+		e.planned.Add(1)
+		p = pl.Prepared()
+	} else if p, err = mechanism.PrepareSpec(e.mech, s, nil); err != nil {
+		return nil, nil, err
+	}
+	if e.dir != "" {
+		e.persist(fp, s, p, pl)
+	}
+	return p, pl, nil
+}
+
+// restore rebuilds a served workload from the cache directory with no
+// Prepare. A fixed engine reads its decomposition file. A plan-aware
+// engine first reads the (self-checking) plan document, then restores
+// the decomposition for an lrm winner (validated against the workload
+// like any disk hit) or re-runs only the trivial PrepareSpec of a
+// baseline winner.
+func (e *Engine) restore(fp string, s workload.Spec) (mechanism.Prepared, *plan.Plan, error) {
+	if e.planner == nil {
+		p, err := e.readArtifact(e.artifactPath(fp, "", s), s, e.gamma)
+		return p, nil, err
+	}
+	f, err := e.fs.Open(e.planPath(fp))
 	if err != nil {
 		return nil, nil, err
 	}
-	if path != "" {
-		if d, ok := decompositionOf(p); ok {
-			if err := e.writeDecomposition(path, d); err == nil {
-				e.diskWrites.Add(1)
-			}
+	pl, err := plan.Decode(f)
+	f.Close()
+	if err != nil {
+		return nil, nil, err
+	}
+	if pl.Fingerprint != fp {
+		return nil, nil, fmt.Errorf("engine: plan document is for workload %s, not %s", pl.Fingerprint, fp)
+	}
+	// The fingerprint already binds the workload, but a spec plan also
+	// records the spec's human-auditable descriptor (a dense plan records
+	// none); a mismatch means a tampered document.
+	desc := s.Describe()
+	if _, dense := s.(*workload.DenseSpec); dense {
+		desc = ""
+	}
+	if pl.SpecDesc != desc {
+		return nil, nil, fmt.Errorf("engine: plan document describes %q, request is %q", pl.SpecDesc, desc)
+	}
+	if pl.Mechanism == "lrm" {
+		p, err := e.readArtifact(e.artifactPath(fp, pl.Digest(), s), s, pl.LRMOptions.Gamma)
+		return p, pl, err
+	}
+	m, err := mechanism.ByName(pl.Mechanism, e.planner.Config)
+	if err != nil {
+		return nil, nil, err
+	}
+	p, err := mechanism.PrepareSpec(m, s, pl.Stats)
+	return p, pl, err
+}
+
+// persist writes a fresh preparation to the cache directory: the plan
+// document first on a plan-aware engine, then the decomposition when the
+// Prepared has one. Every write is best-effort — a failure only costs the
+// next process a Prepare — and DiskWrites counts persisted workloads:
+// a written plan document, or on a fixed engine a written decomposition.
+// A plan whose decomposition write fails still restores its decision,
+// misses on the decomposition, and re-plans.
+func (e *Engine) persist(fp string, s workload.Spec, p mechanism.Prepared, pl *plan.Plan) {
+	digest := ""
+	if pl != nil {
+		if e.writeEncoded(e.planPath(fp), pl) != nil {
+			return
 		}
+		digest = pl.Digest()
 	}
-	return p, nil, nil
-}
-
-// diskPath returns the cache file for a fingerprint, or "" when disk
-// caching is disabled (no directory configured, or a non-LRM mechanism).
-// The name is <workload-fingerprint>-<options-digest>.lrmd — both parts
-// lowercase hex, so no escaping — keyed on the options too because
-// differently tuned LRM engines sharing a directory must not serve each
-// other's factorizations.
-func (e *Engine) diskPath(fp string) string {
-	if e.dir == "" {
-		return ""
+	art, ok := artifactOf(p)
+	wrote := ok && e.writeEncoded(e.artifactPath(fp, digest, s), art) == nil
+	if pl != nil || wrote {
+		e.diskWrites.Add(1)
 	}
-	return filepath.Join(e.dir, fp+"-"+e.optTag+".lrmd")
 }
 
-// decomposer is implemented by Prepared instances whose state is a
-// serializable workload decomposition (the LRM); only those can round-trip
-// through the disk cache.
-type decomposer interface {
-	Decomposition() *core.Decomposition
-}
-
-func decompositionOf(p mechanism.Prepared) (*core.Decomposition, bool) {
-	d, ok := p.(decomposer)
-	if !ok {
-		return nil, false
+// artifactPath names the decomposition file for a workload. The cache
+// directory's grammar, which a directory written by any earlier build
+// must keep restoring under, is
+//
+//	<fp>-<opts>.lrmd           fixed LRM engine, dense workload
+//	<fp>-<opts>.lrmk           fixed LRM engine, Kronecker spec
+//	<fp>-<opts>.plan.json      plan-aware engine, the decision
+//	<fp>-<opts>-<plan>.lrmd    plan-aware engine, dense lrm winner
+//	<fp>-<opts>-<plan>.lrmk    plan-aware engine, Kronecker lrm winner
+//
+// where <fp> is the workload fingerprint (spec fingerprints carry a
+// "spec-" namespace, so the two key spaces never collide), <opts> the
+// 8-hex digest of the LRM or planner options, and <plan> the plan's
+// 16-hex content digest — all lowercase hex, so no escaping. Differently
+// tuned engines sharing a directory therefore never serve each other's
+// artifacts, and a replanned decision orphans its predecessor's
+// decomposition instead of being served by it (the plan document is
+// additionally self-checking: its stored digest must match the digest
+// recomputed from its fields). In memory an entry keys by fingerprint
+// alone: an engine's options are fixed for its lifetime and planning is
+// deterministic. planDigest is "" on a fixed-mechanism engine.
+func (e *Engine) artifactPath(fp, planDigest string, s workload.Spec) string {
+	name := fp + "-" + e.optTag
+	if planDigest != "" {
+		name += "-" + planDigest
 	}
-	return d.Decomposition(), true
+	if _, dense := s.(*workload.DenseSpec); dense {
+		return filepath.Join(e.dir, name+".lrmd")
+	}
+	return filepath.Join(e.dir, name+".lrmk")
 }
 
-// loadPrepared restores a persisted decomposition and checks it actually
-// factors this workload (a renamed, foreign, or tampered file fails
-// closed here; the decode itself already rejects non-finite or corrupt
-// payloads). This runs only on disk misses, so the extra m×n product is
-// paid once per workload per process, not per answer.
-func loadPrepared(fs faultfs.FS, path string, w *workload.Workload, gamma float64) (mechanism.Prepared, error) {
-	f, err := fs.Open(path)
+// planPath names a plan-aware engine's plan document for a fingerprint
+// (see artifactPath for the directory grammar).
+func (e *Engine) planPath(fp string) string {
+	return filepath.Join(e.dir, fp+"-"+e.optTag+".plan.json")
+}
+
+// artifactOf returns the serializable decomposition behind a Prepared —
+// the dense LRM's core.Decomposition or the spec-path LRM's factored
+// core.KronDecomposition — or false for mechanisms with none, which are
+// cached in memory only (a planned baseline winner restores from its
+// plan document alone).
+func artifactOf(p mechanism.Prepared) (encoder, bool) {
+	switch p := p.(type) {
+	case interface{ Decomposition() *core.Decomposition }:
+		return p.Decomposition(), true
+	case interface {
+		KronDecomposition() *core.KronDecomposition
+	}:
+		return p.KronDecomposition(), true
+	}
+	return nil, false
+}
+
+// readArtifact restores a persisted decomposition — .lrmd for a dense
+// workload, .lrmk for a Kronecker spec — and checks that it actually
+// factors s (a renamed, foreign, or tampered file fails closed here; the
+// decode itself already rejects non-finite or corrupt payloads). This
+// runs only on disk misses, so the check's products are paid once per
+// workload per process, not per answer. A Kronecker factor is small —
+// the same mechanism.LRMFactorCellCap the LRM decomposes under — so its
+// check costs factor-sized GEMMs, never an m×n product.
+func (e *Engine) readArtifact(path string, s workload.Spec, gamma float64) (mechanism.Prepared, error) {
+	d, dense := s.(*workload.DenseSpec)
+	k, kron := s.(*workload.KronSpec)
+	if !dense && !kron {
+		return nil, fmt.Errorf("engine: %s has no decomposition to restore", s.Describe())
+	}
+	f, err := e.fs.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	d, err := core.ReadDecomposition(f)
+	if dense {
+		dec, err := core.ReadDecomposition(f)
+		if err != nil {
+			return nil, err
+		}
+		if err := checkFactors(d.Dense().W, dec, gamma); err != nil {
+			return nil, err
+		}
+		return mechanism.PreparedFromDecomposition(dec)
+	}
+	kd, err := core.ReadKronDecomposition(f)
 	if err != nil {
 		return nil, err
 	}
-	if d.B.Rows() != w.Queries() || d.L.Cols() != w.Domain() {
-		return nil, fmt.Errorf("engine: cached decomposition is %d×%d for a %d×%d workload",
-			d.B.Rows(), d.L.Cols(), w.Queries(), w.Domain())
+	specs := k.Factors()
+	if len(kd.Factors) != len(specs) {
+		return nil, fmt.Errorf("engine: cached decomposition has %d factors, spec has %d", len(kd.Factors), len(specs))
 	}
-	// Integrity: the defining invariant is W ≈ B·L. Metadata can be
-	// forged, but not the actual residual — recompute it and require
-	// consistency with the stored value (small slack for the optimizer's
-	// normalized-space arithmetic) plus a sanity cap, so a well-formed
-	// file holding someone else's (or a zeroed) factorization cannot
-	// silently poison every answer for this workload. The cap admits the
-	// engine's own configured relaxation γ, so a deliberately loose-γ
-	// deployment still gets disk hits for its own legitimate files.
-	normW := math.Sqrt(mat.SquaredSum(w.W))
+	for i, fd := range kd.Factors {
+		fw, err := workload.MaterializeSpec(specs[i], mechanism.LRMFactorCellCap)
+		if err != nil {
+			return nil, fmt.Errorf("engine: kron factor %d: %w", i+1, err)
+		}
+		if err := checkFactors(fw.W, fd, gamma); err != nil {
+			return nil, fmt.Errorf("engine: kron factor %d (%s): %w", i+1, specs[i].Describe(), err)
+		}
+	}
+	return mechanism.PreparedFromKronDecomposition(kd)
+}
+
+// checkFactors is the one integrity rule for every persisted
+// decomposition: d must have W's shape and actually factor it. The
+// defining invariant is W ≈ B·L. Metadata can be forged, but not the
+// actual residual — recompute it and require consistency with the stored
+// value (small slack for the optimizer's normalized-space arithmetic)
+// plus a sanity cap, so a well-formed file holding someone else's (or a
+// zeroed) factorization cannot silently poison every answer for this
+// workload. The cap admits the engine's own configured relaxation γ, so
+// a deliberately loose-γ deployment still gets disk hits for its own
+// legitimate files.
+func checkFactors(w *mat.Dense, d *core.Decomposition, gamma float64) error {
+	if d.B.Rows() != w.Rows() || d.L.Cols() != w.Cols() {
+		return fmt.Errorf("engine: cached decomposition is %d×%d for a %d×%d workload",
+			d.B.Rows(), d.L.Cols(), w.Rows(), w.Cols())
+	}
+	normW := math.Sqrt(mat.SquaredSum(w))
 	maxResidual := 0.5 * normW
 	if gamma > maxResidual {
 		maxResidual = gamma
 	}
-	frob := math.Sqrt(mat.SquaredSum(mat.Sub(w.W, mat.Mul(d.B, d.L))))
+	frob := math.Sqrt(mat.SquaredSum(mat.Sub(w, mat.Mul(d.B, d.L))))
 	if frob > d.Residual+1e-6*normW || d.Residual > maxResidual*(1+1e-9) {
-		return nil, fmt.Errorf("engine: cached decomposition does not factor this workload (‖W−BL‖=%.3g, stored %.3g, ‖W‖=%.3g)",
+		return fmt.Errorf("engine: cached decomposition does not factor this workload (‖W−BL‖=%.3g, stored %.3g, ‖W‖=%.3g)",
 			frob, d.Residual, normW)
 	}
-	return mechanism.PreparedFromDecomposition(d)
+	return nil
 }
 
-// writeDecomposition persists atomically and durably: temp file, fsync,
-// rename, directory fsync. The temp fsync *before* the rename is load-
-// bearing — rename is atomic in the namespace but says nothing about the
-// data, so renaming a dirty temp lets a crash leave the final name
-// pointing at a truncated (even zero-length) file. A concurrent reader —
-// another engine sharing the directory — never observes a half-written
-// file, and a crash at any point leaves either no file or a complete
-// one.
-//
-//lrm:sink — the cache file is on-disk state outside the process
-func (e *Engine) writeDecomposition(path string, d *core.Decomposition) error {
-	return e.writeEncoded(path, ".lrmd-*", d)
-}
-
-// encoder is any artifact with a self-contained binary/JSON writer:
-// dense decompositions, factored (Kronecker) decompositions, and plan
-// documents all persist through the same atomic write.
+// encoder is any cache artifact with a self-contained binary/JSON
+// writer: dense decompositions, factored (Kronecker) decompositions, and
+// plan documents all persist through writeEncoded.
 type encoder interface {
 	Encode(w io.Writer) error
 }
 
-// writeEncoded is the shared atomic+durable writer behind every cache
-// artifact: temp file, fsync, rename, directory fsync (see
-// writeDecomposition's doc for why the pre-rename fsync is load-bearing).
-func (e *Engine) writeEncoded(path, tmpPattern string, enc encoder) error {
+// writeEncoded persists one cache artifact atomically and durably: temp
+// file, fsync, rename, directory fsync. The temp fsync *before* the
+// rename is load-bearing — rename is atomic in the namespace but says
+// nothing about the data, so renaming a dirty temp lets a crash leave
+// the final name pointing at a truncated (even zero-length) file. A
+// concurrent reader — another engine sharing the directory — never
+// observes a half-written file, and a crash at any point leaves either
+// no file or a complete one. The temp name carries the artifact's kind
+// (.lrmd-*, .lrmk-*, .plan-*).
+//
+//lrm:sink — the cache file is on-disk state outside the process
+func (e *Engine) writeEncoded(path string, enc encoder) error {
 	dir := filepath.Dir(path)
-	tmp, err := e.fs.CreateTemp(dir, tmpPattern)
+	tmp, err := e.fs.CreateTemp(dir, filepath.Ext(strings.TrimSuffix(path, ".json"))+"-*")
 	if err != nil {
 		return err
 	}

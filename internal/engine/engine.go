@@ -8,10 +8,15 @@
 // mechanism.Prepared instances. Cache misses are deduplicated with
 // singleflight semantics: N concurrent first requests for one workload
 // run exactly one Prepare, and the other N−1 block on the same result.
-// When a cache directory is configured, LRM decompositions are persisted
-// with core's gob format and restored on the next miss — including by a
-// different process — so the optimization cost is paid once per workload
-// per deployment, not per process.
+// When a cache directory is configured, every preparation is persisted
+// and restored on the next miss — including by a different process — so
+// the optimization cost is paid once per workload per deployment, not
+// per process. The directory holds three kinds of artifact: dense LRM
+// decompositions (.lrmd), factored Kronecker decompositions (.lrmk), and
+// on a plan-aware engine the plan documents (.plan.json); artifactPath
+// documents the file-name grammar. Dense and spec workloads, fixed and
+// planned engines, all restore, prepare and persist through one load
+// pipeline (cache.go).
 //
 // Every request is answered the same way, whatever its size or seed: its
 // histograms become the columns of one n×B matrix and a single
@@ -79,12 +84,15 @@ type Options struct {
 	// CacheSize bounds the number of prepared workloads held in memory
 	// (default 64). Least-recently-answered workloads are evicted first.
 	CacheSize int
-	// CacheDir, when non-empty, persists LRM decompositions as
-	// <fingerprint>-<options-digest>.lrmd files and restores them on
-	// later misses. The directory is created if needed and may be shared
-	// across processes (and across differently tuned engines — the
-	// options digest keeps their files apart). Ignored for mechanisms
-	// other than the LRM, which have no serializable decomposition.
+	// CacheDir, when non-empty, persists preparations and restores them
+	// on later misses: LRM decompositions as .lrmd (dense workloads) or
+	// .lrmk (Kronecker specs) files, plus a .plan.json document per
+	// workload on a plan-aware engine. Every name starts
+	// <fingerprint>-<options-digest>. The directory is created if needed
+	// and may be shared across processes (and across differently tuned
+	// engines — the options digest keeps their files apart). Ignored for
+	// fixed mechanisms other than the LRM, which have no serializable
+	// decomposition.
 	CacheDir string
 	// PrepareHook, when set, is called with the workload fingerprint each
 	// time an actual Prepare executes (not on cache or disk hits). It
@@ -294,10 +302,11 @@ func New(opts Options) (*Engine, error) {
 		e.capacity = 64
 	}
 	// The disk cache stores LRM decompositions; for any other fixed
-	// mechanism a cached .lrmd would be answered by the wrong mechanism
-	// entirely, so the directory is ignored unless the engine serves the
-	// LRM or plans per workload (planned engines additionally persist
-	// the plan documents that say which mechanism each file belongs to).
+	// mechanism a cached .lrmd or .lrmk would be answered by the wrong
+	// mechanism entirely, so the directory is ignored unless the engine
+	// serves the LRM or plans per workload (planned engines additionally
+	// persist the plan documents that say which mechanism each file
+	// belongs to).
 	// The filename carries a digest of the LRM options (or of the
 	// planner options) so engines tuned differently sharing a directory
 	// don't serve each other's artifacts.
@@ -421,7 +430,7 @@ func (e *Engine) Answer(req Request) ([][]float64, error) {
 	if fp == "" {
 		fp = e.fingerprint(req.Workload.W)
 	}
-	p, err := e.prepared(fp, req.Workload)
+	p, err := e.prepared(fp, func() workload.Spec { return workload.AsSpec(req.Workload) })
 	if err != nil {
 		return nil, err
 	}

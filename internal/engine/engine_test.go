@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"lrm/internal/core"
-	"lrm/internal/faultfs"
 	"lrm/internal/mat"
 	"lrm/internal/mechanism"
 	"lrm/internal/privacy"
@@ -148,7 +147,7 @@ func TestDiskCacheRoundTrip(t *testing.T) {
 	if err != nil || len(files) != 1 {
 		t.Fatalf("cache dir files = %v (err %v), want one .lrmd", files, err)
 	}
-	if want := e1.diskPath(core.Fingerprint(w.W)); files[0] != want {
+	if want := e1.artifactPath(core.Fingerprint(w.W), "", workload.AsSpec(w)); files[0] != want {
 		t.Fatalf("cache file %q, want fingerprint-named %q", files[0], want)
 	}
 
@@ -176,7 +175,7 @@ func TestDiskCacheCorruptFile(t *testing.T) {
 	w := testWorkload(30)
 	var prepares atomic.Int64
 	e := newTestEngine(t, Options{CacheDir: dir, PrepareHook: func(string) { prepares.Add(1) }})
-	path := e.diskPath(core.Fingerprint(w.W))
+	path := e.artifactPath(core.Fingerprint(w.W), "", workload.AsSpec(w))
 	if err := os.WriteFile(path, []byte("not a decomposition"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +190,7 @@ func TestDiskCacheCorruptFile(t *testing.T) {
 		t.Fatalf("stats = %+v, want no disk hit and one rewrite", st)
 	}
 	// The rewritten file must now load.
-	if _, err := loadPrepared(faultfs.Disk, path, w, 0); err != nil {
+	if _, err := e.readArtifact(path, workload.AsSpec(w), 0); err != nil {
 		t.Fatalf("rewritten cache file does not load: %v", err)
 	}
 }
@@ -214,7 +213,7 @@ func TestDiskCacheForgedFile(t *testing.T) {
 	if err := forged.Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
-	path := e.diskPath(core.Fingerprint(w.W))
+	path := e.artifactPath(core.Fingerprint(w.W), "", workload.AsSpec(w))
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -178,7 +178,7 @@ func TestSpecPlannedDiskRestoreBaseline(t *testing.T) {
 
 // TestSpecFixedLRMDiskRestore: a fixed-mechanism LRM engine persists the
 // factored decomposition as .lrmk and a second engine restores it with
-// zero prepares, through loadPreparedKron's per-factor residual check,
+// zero prepares, through readArtifact's per-factor residual check,
 // and with bit-identical answers. The square grid's two factors are the
 // same matrix, so its decomposition shares one (Bᵢ,Lᵢ) between them.
 func TestSpecFixedLRMDiskRestore(t *testing.T) {
@@ -210,7 +210,7 @@ func TestSpecFixedLRMDiskRestore(t *testing.T) {
 
 			var p2 atomic.Int64
 			e2 := newTestEngine(t, Options{CacheDir: dir, PrepareHook: func(string) { p2.Add(1) }})
-			if _, err := e2.loadPreparedKron(e1.specDiskPath(workload.SpecFingerprint(s)), s, e2.gamma); err != nil {
+			if _, err := e2.readArtifact(e1.artifactPath(workload.SpecFingerprint(s), "", s), s, e2.gamma); err != nil {
 				t.Fatalf("restored .lrmk fails the per-factor check: %v", err)
 			}
 			got2, err := e2.Answer(req)
@@ -252,7 +252,7 @@ func TestSpecDiskRejectsTamperedKron(t *testing.T) {
 	}
 	// Plant the other spec's decomposition under the victim's cache key.
 	// Same shapes, different matrices — only the residual check can tell.
-	victimPath := e1.specDiskPath(workload.SpecFingerprint(victim))
+	victimPath := e1.artifactPath(workload.SpecFingerprint(victim), "", victim)
 	data, err := os.ReadFile(files[0])
 	if err != nil {
 		t.Fatal(err)
@@ -366,7 +366,8 @@ func TestSpecPreparedFromKronRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, ok := kronDecompositionOf(p)
+	a, _ := artifactOf(p)
+	d, ok := a.(*core.KronDecomposition)
 	if !ok {
 		t.Fatal("LRM spec preparation does not expose its factored decomposition")
 	}

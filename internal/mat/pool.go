@@ -9,11 +9,12 @@ import (
 // This file is the package's parallel scheduler: one persistent worker
 // pool, started lazily and sized to the machine, that every kernel in the
 // package (and, through ParallelFor, the coarse-grained consumers such as
-// internal/engine's batch fan-out) draws from. Replacing the old per-call
-// fork/join (a sync.WaitGroup and fresh goroutines per product) with
-// long-lived workers removes per-product goroutine churn from the ALM hot
-// loop, and funneling every layer through one pool keeps the engine's
-// request fan-out and the GEMM tiles from oversubscribing each other.
+// internal/sparse's row-tiled CSR×dense product) draws from. Replacing
+// the old per-call fork/join (a sync.WaitGroup and fresh goroutines per
+// product) with long-lived workers removes per-product goroutine churn
+// from the ALM hot loop, and funneling every layer through one pool keeps
+// the coarse-grained tiles and the GEMM tiles from oversubscribing each
+// other.
 //
 // Work is distributed as tiles claimed from an atomic counter: whichever
 // worker is free takes the next tile, so load-imbalanced grids (the
