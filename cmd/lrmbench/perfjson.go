@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -41,21 +42,40 @@ type benchResult struct {
 	KernelFamily string  `json:"kernel_family,omitempty"`
 }
 
-// benchDocument is the BENCH_*.json schema. KernelTier is the widest
-// kernel family the host supports; KernelDispatch the post-calibration
-// shape-class → family table every benchmark below ran under; and
-// Calibration the raw measurements that produced it — so a committed
-// trajectory always says which kernels actually ran and why.
+// benchDocument is the BENCH_*.json schema. CPUModel names the host
+// processor (so a comparison can tell a same-host baseline from a
+// cross-machine one); KernelTier is the widest kernel family the host
+// supports; KernelDispatch the post-calibration shape-class → family
+// table every benchmark below ran under; and Calibration the raw
+// measurements that produced it — so a committed trajectory always says
+// where it ran, which kernels actually ran and why.
 type benchDocument struct {
 	Generated      time.Time                 `json:"generated"`
 	GoVersion      string                    `json:"go_version"`
 	GOOS           string                    `json:"goos"`
 	GOARCH         string                    `json:"goarch"`
+	CPUModel       string                    `json:"cpu_model,omitempty"`
 	GOMAXPROCS     int                       `json:"gomaxprocs"`
 	KernelTier     string                    `json:"kernel_tier,omitempty"`
 	KernelDispatch map[string]string         `json:"kernel_dispatch,omitempty"`
 	Calibration    []benchsuite.KernelTiming `json:"calibration,omitempty"`
 	Benchmarks     []benchResult             `json:"benchmarks"`
+}
+
+// cpuModel returns the processor's model name from /proc/cpuinfo, or ""
+// where that file or field does not exist (non-Linux hosts, and arm64
+// kernels that report only part numbers).
+func cpuModel() string {
+	buf, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		return ""
+	}
+	for _, line := range strings.Split(string(buf), "\n") {
+		if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+			return strings.TrimSpace(v)
+		}
+	}
+	return ""
 }
 
 // record converts a testing.BenchmarkResult into a trajectory entry.
@@ -86,12 +106,13 @@ func writeBenchJSON(path string) error {
 		GoVersion:      runtime.Version(),
 		GOOS:           runtime.GOOS,
 		GOARCH:         runtime.GOARCH,
+		CPUModel:       cpuModel(),
 		GOMAXPROCS:     runtime.GOMAXPROCS(0),
 		KernelTier:     mat.KernelTier(),
 		KernelDispatch: mat.KernelDispatch(),
 		Calibration:    calibration,
 	}
-	fmt.Fprintf(os.Stderr, "kernel tier %s, dispatch: %s\n", mat.KernelTier(), mat.KernelDispatchString())
+	fmt.Fprintf(os.Stderr, "cpu %q, kernel tier %s, dispatch: %s\n", doc.CPUModel, mat.KernelTier(), mat.KernelDispatchString())
 
 	for _, n := range benchsuite.MatMulSizes {
 		x, y, dst := benchsuite.MatMulOperands(n)

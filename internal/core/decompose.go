@@ -113,6 +113,25 @@ func (o *Options) withDefaults(svd *mat.SVD) Options {
 	return out
 }
 
+// validate rejects options the ALM cannot honour: a negative rank, a γ
+// that is negative or not finite (a NaN γ would make the feasibility
+// test residual ≤ γ never hold), and a penalty β(0) or cap βmax that is
+// negative or not finite. Zero keeps meaning "use the default".
+func (o *Options) validate() error {
+	finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+	switch {
+	case o.Rank < 0:
+		return fmt.Errorf("core: invalid options: rank %d is negative", o.Rank)
+	case o.Gamma < 0 || !finite(o.Gamma):
+		return fmt.Errorf("core: invalid options: gamma %v is negative or not finite", o.Gamma)
+	case o.Beta0 < 0 || !finite(o.Beta0):
+		return fmt.Errorf("core: invalid options: beta0 %v is negative or not finite", o.Beta0)
+	case o.BetaMax < 0 || !finite(o.BetaMax):
+		return fmt.Errorf("core: invalid options: betaMax %v is negative or not finite", o.BetaMax)
+	}
+	return nil
+}
+
 // Decomposition is the result of Decompose: W ≈ B·L with every column of
 // L inside the unit L1 ball. After normalization (applied by Decompose),
 // Δ(L) = 1 exactly, so the mechanism's expected squared error is simply
@@ -202,8 +221,8 @@ func decompose(w *mat.Dense, preSVD *mat.SVD, opts Options) (*Decomposition, err
 	if w.Rows() == 0 || w.Cols() == 0 {
 		return nil, errors.New("core: empty workload matrix")
 	}
-	if opts.Rank < 0 || opts.Gamma < 0 {
-		return nil, fmt.Errorf("core: invalid options rank=%d gamma=%v", opts.Rank, opts.Gamma)
+	if err := opts.validate(); err != nil {
+		return nil, err
 	}
 	if !w.IsFinite() {
 		return nil, errors.New("core: workload matrix contains NaN or Inf")
@@ -456,7 +475,7 @@ type almState struct {
 
 	x0         []float64 // inner-solver starting point, r·n
 	powX, powY []float64 // power-iteration scratch, r
-	projBuf    []float64 // column-projection scratch, 2·r
+	projBuf    []float64 // column-projection scratch, 2·r + n
 
 	nwork   *optimize.Workspace
 	problem optimize.Problem
@@ -490,7 +509,7 @@ func newALMState(w *mat.Dense, o Options, gamma float64, b0, l0 *mat.Dense) *alm
 		x0:      make([]float64, r*n),
 		powX:    make([]float64, r),
 		powY:    make([]float64, r),
-		projBuf: make([]float64, 2*r),
+		projBuf: make([]float64, 2*r+n),
 
 		nwork: optimize.NewWorkspace(),
 	}
@@ -509,9 +528,10 @@ func newALMState(w *mat.Dense, o Options, gamma float64, b0, l0 *mat.Dense) *alm
 		Grad: func(x, g []float64) {
 			s.lmHdr.Reuse(r, n, x)
 			mat.MulTo(s.gm, s.btb, s.lmHdr)
-			gd, kd := s.gm.RawData(), s.kmat.RawData()
+			beta := s.beta
+			gd, kd := s.gm.RawData()[:len(g)], s.kmat.RawData()[:len(g)]
 			for i := range g {
-				g[i] = s.beta*gd[i] - kd[i]
+				g[i] = beta*gd[i] - kd[i]
 			}
 		},
 		Project: func(x []float64) {
@@ -558,15 +578,17 @@ func runALM(w *mat.Dense, o Options, gamma float64, b0, l0 *mat.Dense) (outB, ou
 	stallAge := 0
 	prevResidual := math.Inf(1)
 
+outerLoop:
 	for k := 1; k <= o.MaxOuterIter; k++ {
 		outer = k
 		// Approximately solve the subproblem by alternating B and L.
 		for inner := 0; inner < o.MaxInnerIter; inner++ {
 			if err := s.updateB(); err != nil {
 				// The system βLLᵀ+I is SPD by construction, so a solve
-				// failure only means catastrophic numerics; keep the
-				// previous iterate and stop this run.
-				return s.b, s.l, residual, k, converged
+				// failure only means catastrophic numerics: stop this run
+				// and return the best feasible iterate recorded so far
+				// (the feasible start included), like any other exit.
+				break outerLoop
 			}
 			s.updateL()
 			// Early exit when the inner alternation has stalled.

@@ -227,6 +227,72 @@ func TestDecomposeErrors(t *testing.T) {
 	}
 }
 
+// TestDecomposeRejectsInvalidOptions: γ, β(0) and βmax must be finite
+// and non-negative (zero still selects the default). A NaN γ used to
+// pass the negativity check and leave residual ≤ γ forever false.
+func TestDecomposeRejectsInvalidOptions(t *testing.T) {
+	w := workload.Related(8, 12, 2, rng.New(3)).W
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		opts Options
+	}{
+		{"negative rank", Options{Rank: -1}},
+		{"negative gamma", Options{Gamma: -1}},
+		{"NaN gamma", Options{Gamma: nan}},
+		{"+Inf gamma", Options{Gamma: inf}},
+		{"-Inf gamma", Options{Gamma: -inf}},
+		{"negative beta0", Options{Beta0: -1}},
+		{"NaN beta0", Options{Beta0: nan}},
+		{"+Inf beta0", Options{Beta0: inf}},
+		{"-Inf beta0", Options{Beta0: -inf}},
+		{"negative betaMax", Options{BetaMax: -1}},
+		{"NaN betaMax", Options{BetaMax: nan}},
+		{"+Inf betaMax", Options{BetaMax: inf}},
+		{"-Inf betaMax", Options{BetaMax: -inf}},
+	}
+	for _, c := range cases {
+		if _, err := Decompose(w, c.opts); err == nil {
+			t.Errorf("%s: Decompose accepted %+v", c.name, c.opts)
+		}
+	}
+	if _, err := Decompose(w, Options{Gamma: 0.5, Beta0: 3, BetaMax: 1e6}); err != nil {
+		t.Errorf("valid explicit options rejected: %v", err)
+	}
+}
+
+// TestRunALMSolveFailureKeepsFeasibleStart: when the B-update's SPD
+// solve fails, runALM must leave through the shared best-iterate return
+// rather than hand back the current iterate as unconverged. An infinite
+// penalty (which decompose's validation rejects, so runALM is called
+// directly) makes βLLᵀ+I non-finite on the first pass; the feasible
+// Lemma-3 start recorded before the loop must then come back as the
+// converged result.
+func TestRunALMSolveFailureKeepsFeasibleStart(t *testing.T) {
+	w := workload.Related(16, 24, 3, rng.New(9)).W
+	w = mat.Scale(1/mat.FrobeniusNorm(w), w)
+	svd := mat.FactorSVD(w)
+	o := (&Options{}).withDefaults(svd)
+	o.Beta0 = math.Inf(1)
+	const gamma = 1e-4
+	b0, l0 := initDecomposition(w, o.Rank, svd)
+	probe := newALMState(w, o, gamma, b0, l0)
+	initRes := probe.residual()
+	if initRes > gamma {
+		t.Fatalf("Lemma-3 start residual %v exceeds γ = %v; the test needs a feasible start", initRes, gamma)
+	}
+	if err := probe.updateB(); err == nil {
+		t.Fatal("updateB succeeded with β = +Inf; the test needs a solve failure")
+	}
+	b, l, res, _, conv := runALM(w, o, gamma, b0, l0)
+	if !conv || res != initRes {
+		t.Fatalf("runALM after a solve failure: converged=%v residual=%v, want true and the start's %v", conv, res, initRes)
+	}
+	if !b.Equal(b0) || !l.Equal(l0) {
+		t.Fatal("runALM after a solve failure did not return the feasible start")
+	}
+}
+
 func TestDecomposeIdentityWorkload(t *testing.T) {
 	// For W = I the optimal decomposition is essentially B = I, L = I
 	// (up to sign/permutation), with SSE 2n/ε², matching noise-on-data.

@@ -62,11 +62,14 @@ func Mul(a, b *Dense) *Dense {
 	return out
 }
 
-// mulInto overwrites out with a·b.
+// mulInto overwrites out with a·b. Small serial products read b in
+// place (gemmDirect); the rest pack it.
 func mulInto(out, a, b *Dense) {
-	gemmMain(out, a.rows, b.cols, a.cols,
-		aView{data: a.data, row: a.cols, k: 1},
-		b.data, b.cols, 1, false, false, nil)
+	av := aView{data: a.data, row: a.cols, k: 1}
+	if gemmDirect(out, a.rows, b.cols, a.cols, av, b.data) {
+		return
+	}
+	gemmMain(out, a.rows, b.cols, a.cols, av, b.data, b.cols, 1, false, false, nil)
 }
 
 // MulABt returns a·bᵀ without materializing the transpose.
@@ -99,11 +102,14 @@ func MulAtB(a, b *Dense) *Dense {
 
 // mulAtBInto overwrites out with aᵀ·b: the left operand is walked
 // through a transposed view (row stride 1, k stride a.cols), which the
-// micro-kernels support natively.
+// micro-kernels support natively. Small serial products read b in place
+// (gemmDirect); the rest pack it.
 func mulAtBInto(out, a, b *Dense) {
-	gemmMain(out, a.cols, b.cols, a.rows,
-		aView{data: a.data, row: 1, k: a.cols},
-		b.data, b.cols, 1, false, false, nil)
+	av := aView{data: a.data, row: 1, k: a.cols}
+	if gemmDirect(out, a.cols, b.cols, a.rows, av, b.data) {
+		return
+	}
+	gemmMain(out, a.cols, b.cols, a.rows, av, b.data, b.cols, 1, false, false, nil)
 }
 
 // MulVec returns the matrix-vector product a·x.

@@ -23,6 +23,10 @@ import "sync/atomic"
 // over the backing slice — so one driver serves A, Aᵀ (MulAtB, Gram) and
 // the symmetric kernels without materializing a transpose.
 //
+// Small serial A·B and Aᵀ·B products with full panels skip step 1:
+// gemmDirect runs the same kernels and row blocking on the unpacked
+// right operand.
+//
 // Determinism: the panel/tile grid and the kernel choice are pure
 // functions of the operand shapes, each output element is written by
 // exactly one tile, and every kernel accumulates in ascending k. Results
@@ -224,68 +228,7 @@ func gemmTileRun(t int, cd []float64, ldc, m, n, k int, av aView, packed []float
 				continue
 			}
 		}
-		pOff := p * k * gemmNR
-		i := r0
-		if pw == gemmNR {
-			if rLim-r0 >= gemmMR8 && sel.kern8 != nil {
-				for ; i+gemmMR8 <= rLim; i += gemmMR8 {
-					sel.kern8(int64(k),
-						&av.data[i*av.row], int64(av.row*8), int64(av.k*8),
-						&packed[pOff], gemmNR*8,
-						&cd[i*ldc+j0], int64(ldc*8))
-				}
-				if i < rLim {
-					// Row tail: rerun the full micro-kernel on the last
-					// gemmMR8 rows. The overlapped rows are rewritten
-					// with bit-identical values (same panel, same
-					// k-order, same goroutine), which is far cheaper
-					// than an elementwise tail.
-					i = rLim - gemmMR8
-					sel.kern8(int64(k),
-						&av.data[i*av.row], int64(av.row*8), int64(av.k*8),
-						&packed[pOff], gemmNR*8,
-						&cd[i*ldc+j0], int64(ldc*8))
-					i = rLim
-				}
-			} else if rLim-r0 >= gemmMR {
-				if sel.kern4 != nil {
-					for ; i+gemmMR <= rLim; i += gemmMR {
-						sel.kern4(int64(k),
-							&av.data[i*av.row], int64(av.row*8), int64(av.k*8),
-							&packed[pOff], gemmNR*8,
-							&cd[i*ldc+j0], int64(ldc*8))
-					}
-					if i < rLim {
-						// Same rerun trick at 4-row height.
-						i = rLim - gemmMR
-						sel.kern4(int64(k),
-							&av.data[i*av.row], int64(av.row*8), int64(av.k*8),
-							&packed[pOff], gemmNR*8,
-							&cd[i*ldc+j0], int64(ldc*8))
-						i = rLim
-					}
-				} else {
-					for ; i+gemmMR <= rLim; i += gemmMR {
-						gemmScalar4x4(k, av.data, i*av.row, av.row, av.k, packed, pOff, cd, i*ldc+j0, ldc)
-						gemmScalar4x4(k, av.data, i*av.row, av.row, av.k, packed, pOff+4, cd, i*ldc+j0+4, ldc)
-					}
-					if i < rLim {
-						i = rLim - gemmMR
-						gemmScalar4x4(k, av.data, i*av.row, av.row, av.k, packed, pOff, cd, i*ldc+j0, ldc)
-						gemmScalar4x4(k, av.data, i*av.row, av.row, av.k, packed, pOff+4, cd, i*ldc+j0+4, ldc)
-						i = rLim
-					}
-				}
-			} else {
-				// Fewer than gemmMR rows in the whole range: 1×8 blocks.
-				for ; i < rLim; i++ {
-					gemmScalarRow8(k, av.data, i*av.row, av.k, packed, pOff, cd, i*ldc+j0)
-				}
-			}
-		}
-		if i < rLim {
-			gemmScalarTail(k, av.data, i*av.row, av.row, av.k, packed, pOff, cd, i*ldc+j0, ldc, rLim-i, pw)
-		}
+		gemmPanelRows(sel, k, av, r0, rLim, packed, p*k*gemmNR, gemmNR, cd, ldc, j0, pw)
 	}
 	if epi != nil {
 		c1 := p1 * gemmNR
@@ -296,13 +239,119 @@ func gemmTileRun(t int, cd []float64, ldc, m, n, k int, av aView, packed []float
 	}
 }
 
+// gemmPanelRows computes output rows [r0,rLim) × columns [j0,j0+pw) of
+// one gemmNR-wide column panel whose step-t values B(t,j0:j0+gemmNR)
+// start at bp[bOff+t*bK]: bK = gemmNR for a packed panel, the operand's
+// row stride when the kernels read a row-major right operand in place
+// (gemmDirect). The row blocking is a function of the row range alone:
+// 8-row blocks when an 8-row kernel is selected and the range holds 8
+// rows, else 4-row blocks, each with an overlapped rerun for the row
+// tail; ranges shorter than 4 rows (and partial panels) take the scalar
+// row kernels. So which rows run fused-FMA vs scalar arithmetic does not
+// depend on where B lives.
+//
+//lrm:noalloc — the kernel dispatch: one panel, stack state only
+func gemmPanelRows(sel kernelSel, k int, av aView, r0, rLim int, bp []float64, bOff, bK int, cd []float64, ldc, j0, pw int) {
+	i := r0
+	if pw == gemmNR {
+		if rLim-r0 >= gemmMR8 && sel.kern8 != nil {
+			for ; i+gemmMR8 <= rLim; i += gemmMR8 {
+				sel.kern8(int64(k),
+					&av.data[i*av.row], int64(av.row*8), int64(av.k*8),
+					&bp[bOff], int64(bK*8),
+					&cd[i*ldc+j0], int64(ldc*8))
+			}
+			if i < rLim {
+				// Row tail: rerun the full micro-kernel on the last
+				// gemmMR8 rows. The overlapped rows are rewritten with
+				// bit-identical values (same panel, same k-order, same
+				// goroutine), which is far cheaper than an elementwise
+				// tail.
+				i = rLim - gemmMR8
+				sel.kern8(int64(k),
+					&av.data[i*av.row], int64(av.row*8), int64(av.k*8),
+					&bp[bOff], int64(bK*8),
+					&cd[i*ldc+j0], int64(ldc*8))
+				i = rLim
+			}
+		} else if rLim-r0 >= gemmMR {
+			if sel.kern4 != nil {
+				for ; i+gemmMR <= rLim; i += gemmMR {
+					sel.kern4(int64(k),
+						&av.data[i*av.row], int64(av.row*8), int64(av.k*8),
+						&bp[bOff], int64(bK*8),
+						&cd[i*ldc+j0], int64(ldc*8))
+				}
+				if i < rLim {
+					// Same rerun trick at 4-row height.
+					i = rLim - gemmMR
+					sel.kern4(int64(k),
+						&av.data[i*av.row], int64(av.row*8), int64(av.k*8),
+						&bp[bOff], int64(bK*8),
+						&cd[i*ldc+j0], int64(ldc*8))
+					i = rLim
+				}
+			} else {
+				for ; i+gemmMR <= rLim; i += gemmMR {
+					gemmScalar4x4(k, av.data, i*av.row, av.row, av.k, bp, bOff, bK, cd, i*ldc+j0, ldc)
+					gemmScalar4x4(k, av.data, i*av.row, av.row, av.k, bp, bOff+4, bK, cd, i*ldc+j0+4, ldc)
+				}
+				if i < rLim {
+					i = rLim - gemmMR
+					gemmScalar4x4(k, av.data, i*av.row, av.row, av.k, bp, bOff, bK, cd, i*ldc+j0, ldc)
+					gemmScalar4x4(k, av.data, i*av.row, av.row, av.k, bp, bOff+4, bK, cd, i*ldc+j0+4, ldc)
+					i = rLim
+				}
+			}
+		} else {
+			// Fewer than gemmMR rows in the whole range: 1×8 blocks.
+			for ; i < rLim; i++ {
+				gemmScalarRow8(k, av.data, i*av.row, av.k, bp, bOff, bK, cd, i*ldc+j0)
+			}
+		}
+	}
+	if i < rLim {
+		gemmScalarTail(k, av.data, i*av.row, av.row, av.k, bp, bOff, bK, cd, i*ldc+j0, ldc, rLim-i, pw)
+	}
+}
+
+// gemmDirect computes dst = A·B without packing B (row-major k×n, row
+// stride n) and reports true, when the product runs serially in one row
+// of scheduler tiles (m ≤ gemmTileRows), every panel is full (n a
+// multiple of gemmNR) and an assembly family is selected. The kernels
+// then read B in place with bK = n, through the same gemmPanelRows row
+// blocking as gemmTileRun, so every element keeps its kernel and its
+// ascending-k chain: the bits equal the packed product's. This is the
+// shape of the ALM's per-Nesterov-step gradient (r×r by r×n), where
+// packing was a copy of B on every step. Otherwise it does nothing and
+// reports false, and the caller runs gemmMain.
+//
+// The branch lives in the epilogue-free entry points (mulInto,
+// mulAtBInto), not in gemmMain, so the fused-epilogue path keeps one
+// straight-line body.
+//
+//lrm:noalloc — the ALM inner loop's products run through here
+func gemmDirect(dst *Dense, m, n, k int, av aView, bdata []float64) bool {
+	if m <= 0 || m > gemmTileRows || n%gemmNR != 0 || k <= 0 || !serialWork(m*n*k) {
+		return false
+	}
+	sel := selectKernels(m, n, k, false)
+	if sel.kern4 == nil {
+		return false
+	}
+	for j0 := 0; j0 < n; j0 += gemmNR {
+		gemmPanelRows(sel, k, av, 0, m, bdata, j0, n, dst.data, dst.cols, j0, gemmNR)
+	}
+	return true
+}
+
 // gemmScalar4x4 is the portable micro-kernel: a 4×4 register block over
-// four panel columns starting at bpOff (panel stride is gemmNR). Like the
-// assembly kernel it overwrites its output block and accumulates each
-// element in ascending k.
+// four panel columns starting at bpOff, bK elements between k steps.
+// Like the assembly kernel it overwrites its output block and
+// accumulates each element in ascending k.
 //
 //lrm:noalloc — register-blocked micro-kernel
-func gemmScalar4x4(k int, ad []float64, a0, aRow, aK int, bp []float64, bpOff int, cd []float64, c0, ldc int) {
+func gemmScalar4x4(k int, ad []float64, a0, aRow, aK int, bp []float64, bpOff, bK int, cd []float64, c0, ldc int) {
 	var c00, c01, c02, c03 float64
 	var c10, c11, c12, c13 float64
 	var c20, c21, c22, c23 float64
@@ -311,7 +360,7 @@ func gemmScalar4x4(k int, ad []float64, a0, aRow, aK int, bp []float64, bpOff in
 	bo := bpOff
 	for t := 0; t < k; t++ {
 		b0, b1, b2, b3 := bp[bo], bp[bo+1], bp[bo+2], bp[bo+3]
-		bo += gemmNR
+		bo += bK
 		av := ad[ai0]
 		c00 += av * b0
 		c01 += av * b1
@@ -347,10 +396,11 @@ func gemmScalar4x4(k int, ad []float64, a0, aRow, aK int, bp []float64, bpOff in
 }
 
 // gemmScalarRow8 computes one output row against a full panel: 8
-// accumulators, ascending k. It serves matrices shorter than gemmMR rows.
+// accumulators, ascending k, bK elements between k steps. It serves
+// matrices shorter than gemmMR rows.
 //
 //lrm:noalloc — register-blocked micro-kernel
-func gemmScalarRow8(k int, ad []float64, a0, aK int, bp []float64, bpOff int, cd []float64, c0 int) {
+func gemmScalarRow8(k int, ad []float64, a0, aK int, bp []float64, bpOff, bK int, cd []float64, c0 int) {
 	var s0, s1, s2, s3, s4, s5, s6, s7 float64
 	at := a0
 	bo := bpOff
@@ -365,7 +415,7 @@ func gemmScalarRow8(k int, ad []float64, a0, aK int, bp []float64, bpOff int, cd
 		s5 += av * bp[bo+5]
 		s6 += av * bp[bo+6]
 		s7 += av * bp[bo+7]
-		bo += gemmNR
+		bo += bK
 	}
 	cd[c0] = s0
 	cd[c0+1] = s1
@@ -378,10 +428,10 @@ func gemmScalarRow8(k int, ad []float64, a0, aK int, bp []float64, bpOff int, cd
 }
 
 // gemmScalarTail handles the leftovers — partial trailing panels — one
-// element at a time, ascending k.
+// element at a time, ascending k, bK elements between k steps.
 //
 //lrm:noalloc — element-at-a-time tail kernel
-func gemmScalarTail(k int, ad []float64, a0, aRow, aK int, bp []float64, bpOff int, cd []float64, c0, ldc, rows, cols int) {
+func gemmScalarTail(k int, ad []float64, a0, aRow, aK int, bp []float64, bpOff, bK int, cd []float64, c0, ldc, rows, cols int) {
 	for i := 0; i < rows; i++ {
 		ao := a0 + i*aRow
 		co := c0 + i*ldc
@@ -392,7 +442,7 @@ func gemmScalarTail(k int, ad []float64, a0, aRow, aK int, bp []float64, bpOff i
 			for t := 0; t < k; t++ {
 				s += ad[at] * bp[bo]
 				at += aK
-				bo += gemmNR
+				bo += bK
 			}
 			cd[co+j] = s
 		}

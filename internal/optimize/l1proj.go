@@ -178,28 +178,36 @@ func softThreshold(x []float64, theta float64) {
 // Formula (11) of the paper: the constraint set of the L-subproblem
 // decouples into per-column L1 balls.
 func ProjectColumnsL1(data []float64, rows, cols int, radius float64) {
-	ProjectColumnsL1Buf(data, rows, cols, radius, make([]float64, 2*rows))
+	ProjectColumnsL1Buf(data, rows, cols, radius, make([]float64, 2*rows+cols))
 }
 
 // ProjectColumnsL1Buf is ProjectColumnsL1 with caller-provided scratch of
-// length at least 2·rows, so the inner solver's projection step (run once
-// per iteration on every column) performs no allocation.
+// length at least 2·rows + cols, so the inner solver's projection step
+// (run once per iteration on every column) performs no allocation.
+//
+// The column L1 norms come from one row-major pass over data; each is
+// still summed in ascending row order, exactly as a per-column walk
+// would. Only the infeasible columns are then gathered, projected and
+// scattered back, so an all-feasible matrix costs that one pass.
 func ProjectColumnsL1Buf(data []float64, rows, cols int, radius float64, scratch []float64) {
 	if radius < 0 {
 		panic("optimize: negative L1 radius")
 	}
-	if len(scratch) < 2*rows {
-		panic("optimize: ProjectColumnsL1Buf scratch shorter than 2*rows")
+	if len(scratch) < 2*rows+cols {
+		panic("optimize: ProjectColumnsL1Buf scratch shorter than 2*rows+cols")
 	}
 	col := scratch[:rows]
 	mags := scratch[rows : 2*rows]
-	for j := 0; j < cols; j++ {
-		var norm float64
-		for i := 0; i < rows; i++ {
-			v := data[i*cols+j]
-			col[i] = v
-			norm += math.Abs(v)
+	norms := scratch[2*rows : 2*rows+cols]
+	clear(norms)
+	for i := 0; i < rows; i++ {
+		row := data[i*cols : (i+1)*cols]
+		norms := norms[:len(row)]
+		for j, v := range row {
+			norms[j] += math.Abs(v)
 		}
+	}
+	for j, norm := range norms {
 		if norm <= radius {
 			continue // already feasible; nothing to write back
 		}
@@ -209,11 +217,14 @@ func ProjectColumnsL1Buf(data []float64, rows, cols int, radius float64, scratch
 			}
 			continue
 		}
+		for i := range col {
+			col[i] = data[i*cols+j]
+		}
 		// The pivot-based projection avoids the per-column sort; this
 		// routine runs once per inner-solver iteration on every column.
 		projectL1BallPivotBuf(col, radius, mags)
-		for i := 0; i < rows; i++ {
-			data[i*cols+j] = col[i]
+		for i, v := range col {
+			data[i*cols+j] = v
 		}
 	}
 }

@@ -80,14 +80,23 @@ func NesterovPG(p Problem, x0 []float64, opt NesterovOptions) Result {
 	grad := workGet(opt.Work, d) // ∇G(S)
 	u := workGet(opt.Work, d)    // candidate update
 	defer func() {
-		// cur is returned as Result.X; everything else goes back.
+		// cur is returned as Result.X; everything else goes back. The
+		// fixed-step loop rotates the three iterate buffers, so these
+		// are whichever slices the names hold on return.
 		workPut(opt.Work, prev)
 		workPut(opt.Work, s)
 		workPut(opt.Work, grad)
 		workPut(opt.Work, u)
 	}()
-	deltaPrev, delta := 0.0, 1.0
 
+	if opt.FixedLipschitz {
+		var iters int
+		var converged bool
+		cur, prev, u, iters, converged = nesterovFixed(p, cur, prev, s, grad, u, omega, opt)
+		return Result{X: cur, Value: p.Value(cur), Iterations: iters, Converged: converged}
+	}
+
+	deltaPrev, delta := 0.0, 1.0
 	converged := false
 	iters := 0
 	for t := 1; t <= opt.MaxIter; t++ {
@@ -97,28 +106,6 @@ func NesterovPG(p Problem, x0 []float64, opt NesterovOptions) Result {
 			s[i] = cur[i] + alpha*(cur[i]-prev[i])
 		}
 		p.Grad(s, grad)
-
-		if opt.FixedLipschitz {
-			for i := range u {
-				u[i] = s[i] - grad[i]/omega
-			}
-			if p.Project != nil {
-				p.Project(u)
-			}
-			var moved float64
-			for i := range u {
-				dlt := u[i] - s[i]
-				moved += dlt * dlt
-			}
-			copy(prev, cur)
-			copy(cur, u)
-			if math.Sqrt(moved) < opt.Tol {
-				converged = true
-				break
-			}
-			deltaPrev, delta = delta, (1+math.Sqrt(1+4*delta*delta))/2
-			continue
-		}
 
 		gs := p.Value(s)
 		// Backtracking line search on the Lipschitz estimate ω.
@@ -175,6 +162,62 @@ func NesterovPG(p Problem, x0 []float64, opt NesterovOptions) Result {
 		omega *= 0.9
 	}
 	return Result{X: cur, Value: p.Value(cur), Iterations: iters, Converged: converged}
+}
+
+// nesterovFixed is NesterovPG's fixed-Lipschitz loop: every step takes
+// the certified step 1/ω and evaluates no objective. cur and prev hold
+// the projected start; s, grad and u are scratch of the same length. The
+// three iterate buffers rotate instead of being copied each step, so it
+// returns the final iterate plus the buffers now serving as prev and u,
+// with the step count and whether the ‖U − S‖ stopping rule fired.
+//
+// A step's stopping norm ‖U − S‖² is summed in the pass that overwrites
+// S with the next extrapolated point, in the same ascending index order
+// as a separate pass; only the last allowed step sums it on its own. The
+// iterates and the step count are exactly those of the plain loop:
+// extrapolate, gradient, step, project, test.
+func nesterovFixed(p Problem, cur, prev, s, grad, u []float64, omega float64, opt NesterovOptions) (x, prevOut, uOut []float64, iters int, converged bool) {
+	if opt.MaxIter < 1 {
+		return cur, prev, u, 0, false
+	}
+	n := len(s)
+	deltaPrev, delta := 0.0, 1.0
+	alpha := (deltaPrev - 1) / delta
+	c, pv := cur[:n], prev[:n]
+	for i := range s {
+		s[i] = c[i] + alpha*(c[i]-pv[i])
+	}
+	g := grad[:n]
+	for t := 1; ; t++ {
+		p.Grad(s, grad)
+		un := u[:n]
+		for i := range s {
+			un[i] = s[i] - g[i]/omega
+		}
+		if p.Project != nil {
+			p.Project(u)
+		}
+		prev, cur, u = cur, u, prev
+		c, pv = cur[:n], prev[:n]
+		var moved float64
+		if t == opt.MaxIter {
+			for i := range s {
+				dlt := c[i] - s[i]
+				moved += dlt * dlt
+			}
+			return cur, prev, u, t, math.Sqrt(moved) < opt.Tol
+		}
+		deltaPrev, delta = delta, (1+math.Sqrt(1+4*delta*delta))/2
+		alpha = (deltaPrev - 1) / delta
+		for i := range s {
+			dlt := c[i] - s[i]
+			moved += dlt * dlt
+			s[i] = c[i] + alpha*(c[i]-pv[i])
+		}
+		if math.Sqrt(moved) < opt.Tol {
+			return cur, prev, u, t, true
+		}
+	}
 }
 
 // ProjectedGradient is the plain (non-accelerated) projected gradient
