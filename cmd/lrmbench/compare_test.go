@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -203,5 +204,71 @@ func TestCompareBenchFiles(t *testing.T) {
 	}
 	if err := compareBenchFiles(&out, oldPath, newPath, 0); err == nil {
 		t.Fatal("zero tolerance accepted")
+	}
+}
+
+// TestCompareReadsLegacyKernelFields: trajectory documents written while
+// the kernel choice was calibrated per product shape carry
+// kernel_dispatch, calibration and per-entry kernel_family fields. Such a
+// baseline must load and gate exactly like the same document without
+// them, and every committed BENCH_*.json must still load.
+func TestCompareReadsLegacyKernelFields(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name string, v any) string {
+		buf, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, buf, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	base := benchDoc(fullDoc(100))
+	base.KernelTier = "avx512"
+	plainPath := write("plain.json", base)
+
+	var legacy map[string]any
+	buf, err := json.Marshal(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(buf, &legacy); err != nil {
+		t.Fatal(err)
+	}
+	legacy["kernel_dispatch"] = map[string]string{"deep-narrow": "avx2", "square-wide": "avx512"}
+	legacy["calibration"] = []map[string]any{
+		{"class": "deep-narrow", "family": "avx2", "best_ns": 23290, "winner": true},
+		{"class": "deep-narrow", "family": "avx512", "best_ns": 23213, "winner": false},
+	}
+	for _, e := range legacy["benchmarks"].([]any) {
+		e.(map[string]any)["kernel_family"] = "avx512"
+	}
+	legacyPath := write("legacy.json", legacy)
+
+	regressed := fullDoc(100)
+	regressed["MatMul512"] *= 2
+	for _, cand := range []map[string]int64{fullDoc(110), regressed} {
+		candPath := write("cand.json", benchDoc(cand))
+		var plainOut, legacyOut bytes.Buffer
+		plainErr := compareBenchFiles(&plainOut, plainPath, candPath, 0.30)
+		legacyErr := compareBenchFiles(&legacyOut, legacyPath, candPath, 0.30)
+		if fmt.Sprint(plainErr) != fmt.Sprint(legacyErr) {
+			t.Fatalf("legacy baseline gates differently: %v vs %v", legacyErr, plainErr)
+		}
+		if got, want := strings.ReplaceAll(legacyOut.String(), "legacy.json", "plain.json"), plainOut.String(); got != want {
+			t.Fatalf("legacy baseline reports differently:\n%s\nvs\n%s", got, want)
+		}
+	}
+
+	committed, err := filepath.Glob(filepath.Join("..", "..", "BENCH_*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range committed {
+		if _, err := readBenchDocument(path); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
 	}
 }

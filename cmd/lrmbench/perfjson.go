@@ -28,38 +28,31 @@ import (
 )
 
 // benchResult is one suite entry of the trajectory document.
-// KernelFamily names the GEMM micro-kernel family the dispatcher ran for
-// the benchmark's product shape (set where the suite pins one exact
-// shape — the MatMulN family; end-to-end entries span many shapes and
-// are covered by the document-level dispatch table instead).
 type benchResult struct {
-	Name         string  `json:"name"`
-	Iterations   int     `json:"iterations"`
-	NsPerOp      int64   `json:"ns_per_op"`
-	BytesPerOp   int64   `json:"bytes_per_op"`
-	AllocsPerOp  int64   `json:"allocs_per_op"`
-	GFLOPS       float64 `json:"gflops,omitempty"`
-	KernelFamily string  `json:"kernel_family,omitempty"`
+	Name        string  `json:"name"`
+	Iterations  int     `json:"iterations"`
+	NsPerOp     int64   `json:"ns_per_op"`
+	BytesPerOp  int64   `json:"bytes_per_op"`
+	AllocsPerOp int64   `json:"allocs_per_op"`
+	GFLOPS      float64 `json:"gflops,omitempty"`
 }
 
 // benchDocument is the BENCH_*.json schema. CPUModel names the host
 // processor (so a comparison can tell a same-host baseline from a
-// cross-machine one); KernelTier is the widest kernel family the host
-// supports; KernelDispatch the post-calibration shape-class → family
-// table every benchmark below ran under; and Calibration the raw
-// measurements that produced it — so a committed trajectory always says
-// where it ran, which kernels actually ran and why.
+// cross-machine one) and KernelTier the GEMM kernel tier every benchmark
+// below ran on — so a committed trajectory always says where it ran and
+// which kernels ran. Documents written while the kernel choice was
+// calibrated per product shape also carry kernel_dispatch, calibration
+// and per-entry kernel_family fields; decoding ignores them.
 type benchDocument struct {
-	Generated      time.Time                 `json:"generated"`
-	GoVersion      string                    `json:"go_version"`
-	GOOS           string                    `json:"goos"`
-	GOARCH         string                    `json:"goarch"`
-	CPUModel       string                    `json:"cpu_model,omitempty"`
-	GOMAXPROCS     int                       `json:"gomaxprocs"`
-	KernelTier     string                    `json:"kernel_tier,omitempty"`
-	KernelDispatch map[string]string         `json:"kernel_dispatch,omitempty"`
-	Calibration    []benchsuite.KernelTiming `json:"calibration,omitempty"`
-	Benchmarks     []benchResult             `json:"benchmarks"`
+	Generated  time.Time     `json:"generated"`
+	GoVersion  string        `json:"go_version"`
+	GOOS       string        `json:"goos"`
+	GOARCH     string        `json:"goarch"`
+	CPUModel   string        `json:"cpu_model,omitempty"`
+	GOMAXPROCS int           `json:"gomaxprocs"`
+	KernelTier string        `json:"kernel_tier,omitempty"`
+	Benchmarks []benchResult `json:"benchmarks"`
 }
 
 // cpuModel returns the processor's model name from /proc/cpuinfo, or ""
@@ -96,23 +89,16 @@ func record(name string, res testing.BenchmarkResult, flops float64) benchResult
 // writeBenchJSON runs the perf suite and writes the trajectory document
 // to path (conventionally BENCH_<label>.json at the repository root).
 func writeBenchJSON(path string) error {
-	// Calibrate the kernel-family dispatch first, exactly as a serving
-	// process would at startup: every benchmark below then runs under the
-	// measured table, and the document records both the table and the
-	// timings behind it.
-	calibration := benchsuite.CalibrateKernels()
 	doc := benchDocument{
-		Generated:      time.Now().UTC(),
-		GoVersion:      runtime.Version(),
-		GOOS:           runtime.GOOS,
-		GOARCH:         runtime.GOARCH,
-		CPUModel:       cpuModel(),
-		GOMAXPROCS:     runtime.GOMAXPROCS(0),
-		KernelTier:     mat.KernelTier(),
-		KernelDispatch: mat.KernelDispatch(),
-		Calibration:    calibration,
+		Generated:  time.Now().UTC(),
+		GoVersion:  runtime.Version(),
+		GOOS:       runtime.GOOS,
+		GOARCH:     runtime.GOARCH,
+		CPUModel:   cpuModel(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		KernelTier: mat.KernelTier(),
 	}
-	fmt.Fprintf(os.Stderr, "cpu %q, kernel tier %s, dispatch: %s\n", doc.CPUModel, mat.KernelTier(), mat.KernelDispatchString())
+	fmt.Fprintf(os.Stderr, "cpu %q, kernel tier %s\n", doc.CPUModel, doc.KernelTier)
 
 	for _, n := range benchsuite.MatMulSizes {
 		x, y, dst := benchsuite.MatMulOperands(n)
@@ -123,9 +109,7 @@ func writeBenchJSON(path string) error {
 			}
 		})
 		flops := 2 * float64(n) * float64(n) * float64(n)
-		entry := record(fmt.Sprintf("MatMul%d", n), res, flops)
-		entry.KernelFamily = mat.KernelFamilyFor(n, n, n)
-		doc.Benchmarks = append(doc.Benchmarks, entry)
+		doc.Benchmarks = append(doc.Benchmarks, record(fmt.Sprintf("MatMul%d", n), res, flops))
 	}
 
 	// End-to-end ALM decomposition on the ablation workload

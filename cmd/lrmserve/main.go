@@ -107,7 +107,6 @@ import (
 	"syscall"
 	"time"
 
-	"lrm/internal/benchsuite"
 	"lrm/internal/engine"
 	"lrm/internal/mat"
 	"lrm/internal/mechanism"
@@ -134,21 +133,10 @@ func main() {
 		queueLen    = flag.Int("queue", 0, "max answer requests waiting behind -max-inflight before 429 (0 = 2×max-inflight)")
 		retryAfter  = flag.Duration("retry-after", time.Second, "Retry-After hint sent with 429 overload responses")
 		deadline    = flag.Duration("deadline", 0, "per-request deadline, propagated through the engine (0 = none)")
-		calibrate   = flag.Bool("calibrate", true, "measure GEMM kernel families at startup and dispatch each product shape to the fastest (families are bit-compatible; off = architectural default)")
 	)
 	flag.Parse()
 
-	// Measured dispatch: time every selectable kernel family on each
-	// product shape class and serve with the per-class winner. Tens of
-	// milliseconds once, before the listener opens; GET /stats reports
-	// the resulting table.
-	calibrated := false
-	if *calibrate && len(mat.KernelFamilies()) > 1 {
-		benchsuite.CalibrateKernels()
-		calibrated = true
-	}
-	log.Printf("lrmserve: kernel tier %s (calibrated=%v), dispatch: %s",
-		mat.KernelTier(), calibrated, mat.KernelDispatchString())
+	log.Printf("lrmserve: kernel tier %s", mat.KernelTier())
 
 	engOpts := engine.Options{
 		CacheSize: *cacheSize,
@@ -215,7 +203,7 @@ func main() {
 
 	srv := &http.Server{
 		Addr:              *addr,
-		Handler:           newHandler(eng, handlerConfig{mech: served, maxBody: *maxBody, co: co, adm: adm, deadline: *deadline, calibrated: calibrated}),
+		Handler:           newHandler(eng, handlerConfig{mech: served, maxBody: *maxBody, co: co, adm: adm, deadline: *deadline}),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 
@@ -290,7 +278,7 @@ type answerResponse struct {
 // resident in the cache. Tenants is populated when tenant accounting is
 // on: per-tenant total, spent, and remaining ε. Admission is populated
 // when -max-inflight bounds concurrency. Kernels reports which GEMM
-// micro-kernel families this process answers with.
+// micro-kernel tier this process answers with.
 type statsResponse struct {
 	Mechanism string                 `json:"mechanism"`
 	Engine    engine.Stats           `json:"engine"`
@@ -301,16 +289,11 @@ type statsResponse struct {
 	Kernels   kernelStats            `json:"kernels"`
 }
 
-// kernelStats is the /stats kernels section: the widest kernel tier the
-// host supports, the shape-class → family dispatch table in effect, and
-// whether that table came from startup micro-calibration (-calibrate)
-// or is the architectural default. The selectable families are
-// bit-compatible by construction, so the table describes speed only —
-// never output bits.
+// kernelStats is the /stats kernels section: the GEMM kernel tier every
+// product runs on this host. The tiers are bit-compatible by
+// construction, so it describes speed only — never output bits.
 type kernelStats struct {
-	Tier       string            `json:"tier"`
-	Calibrated bool              `json:"calibrated"`
-	Dispatch   map[string]string `json:"dispatch"`
+	Tier string `json:"tier"`
 }
 
 // splitCandidates parses the -plan-candidates list; empty means the
@@ -331,13 +314,12 @@ func splitCandidates(s string) []string {
 
 // handlerConfig bundles the knobs newHandler needs beyond the engine.
 type handlerConfig struct {
-	mech       string
-	maxBody    int64
-	co         *coalescer    // nil = coalescing disabled
-	adm        *admission    // nil = unbounded admission
-	deadline   time.Duration // 0 = no per-request deadline
-	calibrated bool          // startup kernel calibration ran
-	memo       *wMemo        // nil = a fresh warm-W memo
+	mech     string
+	maxBody  int64
+	co       *coalescer    // nil = coalescing disabled
+	adm      *admission    // nil = unbounded admission
+	deadline time.Duration // 0 = no per-request deadline
+	memo     *wMemo        // nil = a fresh warm-W memo
 }
 
 // newHandler builds the HTTP mux over an engine. Split from main so tests
@@ -424,11 +406,7 @@ func newHandler(eng *engine.Engine, cfg handlerConfig) http.Handler {
 			Engine:    eng.Stats(),
 			Plans:     eng.Decisions(),
 			Memo:      cfg.memo.stats(),
-			Kernels: kernelStats{
-				Tier:       mat.KernelTier(),
-				Calibrated: cfg.calibrated,
-				Dispatch:   mat.KernelDispatch(),
-			},
+			Kernels:   kernelStats{Tier: mat.KernelTier()},
 		}
 		if acct := eng.Accountant(); acct != nil {
 			resp.Tenants = acct.Tenants()

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -11,6 +12,7 @@ import (
 
 	"lrm/internal/core"
 	"lrm/internal/engine"
+	"lrm/internal/mat"
 	"lrm/internal/mechanism"
 	"lrm/internal/plan"
 	"lrm/internal/workload"
@@ -175,12 +177,26 @@ func TestServeStatsAndHealth(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var st statsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+	if err := json.Unmarshal(body, &st); err != nil {
 		t.Fatal(err)
 	}
 	if st.Mechanism != "LRM" || st.Engine.Requests != 1 || st.Engine.Answers != 1 {
 		t.Fatalf("stats = %+v, want LRM with one answered request", st)
+	}
+	// The kernels section names the tier and nothing else.
+	var raw struct {
+		Kernels map[string]any `json:"kernels"`
+	}
+	if err := json.Unmarshal(body, &raw); err != nil {
+		t.Fatal(err)
+	}
+	if want := map[string]any{"tier": mat.KernelTier()}; !reflect.DeepEqual(raw.Kernels, want) {
+		t.Fatalf("stats kernels = %v, want %v", raw.Kernels, want)
 	}
 	hresp, err := http.Get(srv.URL + "/healthz")
 	if err != nil {

@@ -1,8 +1,9 @@
 // Lowrank: the regime where the Low-Rank Mechanism wins by orders of
 // magnitude — a large batch of analyst queries that are linear
 // combinations of a few base aggregates (the paper's WRelated workload).
-// Also demonstrates the optimality certificates of Section 4.1: Lemma 3's
-// upper bound, Lemma 4's lower bound and Theorem 2's approximation ratio.
+// Also prints Section 4.1's analysis: Lemma 3's upper bound, Lemma 4's
+// asymptotic form (Ω constant dropped, so not a valid lower bound) and
+// Theorem 2's ratio of the two.
 package main
 
 import (
@@ -22,11 +23,11 @@ func main() {
 	w := lrm.RelatedWorkload(m, n, s, lrm.NewSource(11))
 	fmt.Printf("workload: %d queries over %d bins, rank %d\n", m, n, w.Rank())
 
-	// Optimality certificates for this workload.
+	// Section 4.1's analysis for this workload.
 	b := lrm.AnalyzeBounds(w.W, float64(eps))
 	fmt.Printf("condition number C = %.2f\n", b.ConditionNumber)
-	fmt.Printf("Lemma 3 upper bound: %.4g   Lemma 4 lower bound: %.4g\n", b.Upper, b.Lower)
-	fmt.Printf("approximation ratio %.2f (Theorem 2 cap %.2f)\n", b.ApproxRatio, b.TheoremTwoBound())
+	fmt.Printf("Lemma 3 upper bound: %.4g   Lemma 4 asymptotic form, Ω constant dropped (not a lower bound): %.4g\n", b.Upper, b.Lower)
+	fmt.Printf("upper / Lemma 4 form %.2f (Theorem 2 cap %.2f)\n", b.ApproxRatio, b.TheoremTwoBound())
 
 	data := lrm.SocialNetwork(11342, lrm.NewSource(12)).Merge(n)
 	const trials = 5

@@ -155,11 +155,14 @@ var ReadDecomposition = core.ReadDecomposition
 // (Eq. 6 of the paper).
 var NewLRMMechanism = core.NewMechanism
 
-// Bounds carries the paper's optimality certificates (Lemmas 3–4,
-// Theorem 2) for a workload.
+// Bounds carries the paper's optimality analysis (Lemmas 3–4, Theorem 2)
+// for a workload. Its Lower is Lemma 4's asymptotic form, Ω constant
+// dropped: not a valid lower bound.
 type Bounds = core.Bounds
 
-// AnalyzeBounds computes error upper/lower bounds for a workload matrix.
+// AnalyzeBounds computes Lemma 3's error upper bound for a workload
+// matrix, and Lemma 4's asymptotic form (Ω constant dropped: not a valid
+// lower bound).
 var AnalyzeBounds = core.AnalyzeBounds
 
 // Mechanism is the shared interface of all query-answering mechanisms.

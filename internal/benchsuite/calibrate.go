@@ -1,120 +1,10 @@
-// Startup micro-calibration of the GEMM kernel-family dispatch. The mat
-// layer classifies every product into a small shape-class grid and runs
-// whatever family its dispatch table names; this file fills that table
-// from measured timings instead of a hard-coded guess — the
-// measured-dispatch idea (pick the kernel per request shape, from
-// timings on the machine that will run it), which is safe here only
-// because the selectable families are bit-compatible by construction
-// (see internal/mat/gemmdispatch.go): a different winner on a different
-// host changes speed, never output bits.
 package benchsuite
 
-import (
-	"time"
-
-	"lrm/internal/mat"
-)
-
-// KernelTiming is one calibration measurement: the best observed wall
-// time for a shape class's representative product under one family.
-type KernelTiming struct {
-	Class   string        `json:"class"`
-	Family  string        `json:"family"`
-	Best    time.Duration `json:"best_ns"`
-	Winner  bool          `json:"winner"`
-	M, N, K int           `json:"-"`
-}
-
-// calibShapes gives each shape class one representative product. Sizes
-// are chosen to finish in well under a millisecond per run so the whole
-// calibration stays in the low tens of milliseconds, while still being
-// large enough that the kernel (not the pack) dominates. The narrow
-// classes use the serving batch widths that actually occur: B=1 (a
-// mat-vec-like RHS) and B=8 (one packed panel); the wide classes use
-// B=64, the engine's batch width. TestCalibShapesCoverClasses pins that
-// these shapes hit all six classes, one each.
-var calibShapes = []struct{ m, n, k int }{
-	{192, 64, 192}, // square-wide
-	{192, 8, 192},  // square-narrow
-	{512, 64, 48},  // tall-wide
-	{512, 8, 48},   // tall-narrow
-	{48, 64, 512},  // deep-wide
-	{48, 1, 512},   // deep-narrow
-}
-
-// calibRounds is how many timed runs each (class, family) pair gets; the
-// minimum is kept, which is the standard way to strip scheduler noise
-// from a microbenchmark.
-const calibRounds = 5
-
-// CalibrateKernels times every selectable kernel family on one
-// representative product per shape class and installs the winner in the
-// mat dispatch table. It returns the measurements (winner flagged per
-// class) so callers can record them — lrmbench embeds them in the perf
-// trajectory, lrmserve logs them at startup.
+// CalibrateKernels does nothing. Every GEMM product runs the widest
+// kernel tier the host enables (internal/mat/gemmtier.go), so there is
+// no per-shape kernel choice left to measure.
 //
-// On hosts with a single family (no AVX-512, or no asm at all) there is
-// nothing to choose: the table is left at its reset default and the
-// measurements (still taken, still recorded) are all winners. The
-// function never panics on missing tiers — it only consults
-// mat.KernelFamilies, which reports what this host can actually run.
-func CalibrateKernels() []KernelTiming {
-	families := mat.KernelFamilies()
-	out := make([]KernelTiming, 0, len(calibShapes)*len(families))
-	for _, sh := range calibShapes {
-		class := mat.KernelClassFor(sh.m, sh.n, sh.k)
-		a, b, dst := calibOperands(sh.m, sh.n, sh.k)
-		bestFam := ""
-		var bestTime time.Duration
-		classStart := len(out)
-		for _, fam := range families {
-			if len(families) > 1 {
-				if err := mat.SetKernelFamily(class, fam); err != nil {
-					continue
-				}
-			}
-			mat.MulTo(dst, a, b) // warm: pack buffers, page in operands
-			best := time.Duration(1<<63 - 1)
-			for r := 0; r < calibRounds; r++ {
-				start := time.Now()
-				mat.MulTo(dst, a, b)
-				if d := time.Since(start); d < best {
-					best = d
-				}
-			}
-			out = append(out, KernelTiming{Class: class, Family: fam, Best: best, M: sh.m, N: sh.n, K: sh.k})
-			if bestFam == "" || best < bestTime {
-				bestFam, bestTime = fam, best
-			}
-		}
-		if bestFam == "" {
-			continue
-		}
-		for i := classStart; i < len(out); i++ {
-			out[i].Winner = out[i].Family == bestFam
-		}
-		if len(families) > 1 {
-			// Install the measured winner; SetKernelFamily only accepts
-			// selectable (bit-compatible) families, so this cannot change
-			// results.
-			_ = mat.SetKernelFamily(class, bestFam)
-		}
-	}
-	return out
-}
-
-// calibOperands builds deterministic m×k and k×n operands plus an m×n
-// destination for one calibration product.
-func calibOperands(m, n, k int) (a, b, dst *mat.Dense) {
-	a = mat.New(m, k)
-	ad := a.RawData()
-	for i := range ad {
-		ad[i] = float64(i%13) * 0.25
-	}
-	b = mat.New(k, n)
-	bd := b.RawData()
-	for i := range bd {
-		bd[i] = float64(i%11) * 0.5
-	}
-	return a, b, mat.New(m, n)
-}
+// Deprecated: kept only for its last caller, the trace replay in
+// bench/lrmload/trace.go; the next change to the benchmark deletes that
+// call and then this function.
+func CalibrateKernels() {}

@@ -7,9 +7,10 @@ import (
 )
 
 // Bounds collects the paper's optimality analysis (Section 4.1) for a
-// workload matrix: the upper bound on LRM's error (Lemma 3), the lower
-// bound on any ε-DP mechanism's error (Lemma 4), and the resulting
-// approximation ratio (Theorem 2).
+// workload matrix: the upper bound on LRM's error (Lemma 3), Lemma 4's
+// asymptotic form, Ω constant dropped: not a valid lower bound (on real
+// workloads LRM's error falls well below it), and their ratio
+// (Theorem 2).
 type Bounds struct {
 	// Rank is the numerical rank r of the workload.
 	Rank int
@@ -20,16 +21,20 @@ type Bounds struct {
 	// Upper is Lemma 3's bound: 2·r·Σλ_k²/ε² (the factor 2 is the Laplace
 	// variance, carried explicitly here).
 	Upper float64
-	// Lower is Lemma 4's bound: (2^r/r!·Πλ_k)^{2/r}·r³/ε², computed in
-	// log space to avoid overflow.
+	// Lower is Lemma 4's asymptotic form, Ω constant dropped: not a valid
+	// lower bound. It evaluates (2^r/r!·Πλ_k)^{2/r}·r³/ε² in log space to
+	// avoid overflow.
 	Lower float64
 	// ApproxRatio is Upper/Lower, which Theorem 2 bounds by O(C²r) for
-	// r > 5.
+	// r > 5. Lower is Lemma 4's asymptotic form, Ω constant dropped: not a
+	// valid lower bound, so this is not an approximation ratio of LRM and
+	// can fall below 1.
 	ApproxRatio float64
 }
 
-// AnalyzeBounds computes the optimality certificates for workload w at
-// privacy budget eps.
+// AnalyzeBounds computes Lemma 3's upper bound, Lemma 4's asymptotic
+// form (Ω constant dropped: not a valid lower bound) and their ratio for
+// workload w at privacy budget eps.
 func AnalyzeBounds(w *mat.Dense, eps float64) *Bounds {
 	svd := mat.FactorSVD(w)
 	r := svd.Rank()

@@ -10,9 +10,9 @@ import (
 )
 
 func TestBoundsPositiveAndCapped(t *testing.T) {
-	// Lemma 4's lower bound carries an Ω constant, so Upper >= Lower is
-	// only guaranteed asymptotically; what the proof chain does guarantee
-	// unconditionally is ApproxRatio <= TheoremTwoBound.
+	// Lower is Lemma 4's form with its Ω constant dropped, so Upper >=
+	// Lower is only guaranteed asymptotically; what the proof chain does
+	// guarantee unconditionally is ApproxRatio <= TheoremTwoBound.
 	src := rng.New(1)
 	for _, w := range []*workload.Workload{
 		workload.Related(20, 25, 4, src),

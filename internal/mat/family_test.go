@@ -2,11 +2,14 @@ package mat
 
 import (
 	"fmt"
+	"os"
+	"runtime"
 	"testing"
 )
 
-// TestKernelFamilyBitEquality pins the cross-family contract that makes
-// measured dispatch safe: on AVX-512 hardware the AVX2 and AVX-512
+// TestKernelFamilyBitEquality pins the cross-tier contract that lets a
+// host without the AVX-512 tier (or with LRM_NOAVX512 set) answer and
+// restore caches exactly like the AVX-512 default: the AVX2 and AVX-512
 // families must produce bit-identical products on the fused path (both
 // are one IEEE FMA chain per element, with the same FMA/scalar row
 // partition because the 8-row tier falls back to the 4-row kernel for
@@ -17,23 +20,18 @@ func TestKernelFamilyBitEquality(t *testing.T) {
 	if !gemmUseAsm || !gemmUseAVX512 {
 		t.Skip("needs two asm kernel families (AVX2 and AVX-512) on this host")
 	}
-	saved := gemmFamilySnapshot()
-	defer saved.restore()
+	defer saveKernelGates()()
 
 	for _, sh := range gemmShapes {
 		a := randDenseSeed(t, sh.m, sh.k, int64(19*sh.m+sh.k))
 		b := randDenseSeed(t, sh.k, sh.n, int64(23*sh.n+sh.k))
 		name := fmt.Sprintf("%dx%dx%d", sh.m, sh.k, sh.n)
 
-		if err := SetKernelFamily("", "avx512"); err != nil {
-			t.Fatal(err)
-		}
+		gemmUseAVX512 = true
 		fused512 := MulTo(New(sh.m, sh.n), a, b)
 		exact512 := MulColsTo(New(sh.m, sh.n), a, b)
 
-		if err := SetKernelFamily("", "avx2"); err != nil {
-			t.Fatal(err)
-		}
+		gemmUseAVX512 = false
 		fused2 := MulTo(New(sh.m, sh.n), a, b)
 		exact2 := MulColsTo(New(sh.m, sh.n), a, b)
 
@@ -55,78 +53,45 @@ func TestKernelFamilyBitEquality(t *testing.T) {
 	}
 }
 
-// TestKernelDispatchAPI covers the exported dispatch surface: the class
-// grid, family validation, per-class installs, and the dispatch snapshot.
-func TestKernelDispatchAPI(t *testing.T) {
-	saved := gemmFamilySnapshot()
-	defer saved.restore()
-
-	if err := SetKernelFamily("", "no-such-family"); err == nil {
-		t.Error("unknown family accepted")
-	}
-	if err := SetKernelFamily("no-such-class", KernelTier()); err == nil {
-		t.Error("unknown class accepted")
-	}
-	if !gemmUseAsm {
-		if got := KernelFamilyFor(64, 64, 64); got != "scalar" {
-			t.Fatalf("no-asm host dispatches %q, want scalar", got)
+// TestKernelTierFollowsGates pins that the kernel choice is a pure
+// function of the two gates: scalar without asm, avx512 exactly when the
+// AVX-512 gate is on, the arch tier otherwise — and that LRM_NOAVX512
+// turns that gate off at startup on an amd64 asm build (CI runs this
+// test with and without the variable set).
+func TestKernelTierFollowsGates(t *testing.T) {
+	hostAsm, host512 := gemmUseAsm, gemmUseAVX512
+	if runtime.GOARCH == "amd64" && hostAsm && os.Getenv("LRM_NOAVX512") != "" {
+		if host512 {
+			t.Fatal("LRM_NOAVX512 set but the AVX-512 gate is on")
 		}
-		return
-	}
-	classes := KernelClasses()
-	if len(classes) != gemmNumClasses {
-		t.Fatalf("KernelClasses returned %d names, want %d", len(classes), gemmNumClasses)
-	}
-	fams := KernelFamilies()
-	if len(fams) == 0 {
-		t.Fatal("no selectable families on an asm host")
-	}
-	for _, fam := range fams {
-		if fam == "scalar" {
-			t.Fatal("scalar listed as selectable alongside asm families")
+		if got := KernelTier(); got != "avx2" {
+			t.Fatalf("LRM_NOAVX512 host runs tier %q, want avx2", got)
 		}
 	}
-	// Installing the narrowest family for one class must show up in the
-	// snapshot for that class only.
-	narrowest := fams[len(fams)-1]
-	if err := SetKernelFamily("", fams[0]); err != nil {
-		t.Fatal(err)
-	}
-	if err := SetKernelFamily("deep-narrow", narrowest); err != nil {
-		t.Fatal(err)
-	}
-	table := KernelDispatch()
-	if table["deep-narrow"] != narrowest {
-		t.Fatalf("deep-narrow dispatches %q after installing %q", table["deep-narrow"], narrowest)
-	}
-	if got := KernelFamilyFor(48, 1, 512); got != narrowest {
-		t.Fatalf("KernelFamilyFor(48,1,512) = %q, want %q", got, narrowest)
-	}
-	if KernelClassFor(48, 1, 512) != "deep-narrow" {
-		t.Fatalf("KernelClassFor(48,1,512) = %q, want deep-narrow", KernelClassFor(48, 1, 512))
+
+	// Only KernelTier is called while the gates are flipped: no product
+	// runs, so forcing a tier this host lacks is safe.
+	defer saveKernelGates()()
+	for _, avx512 := range []bool{false, true} {
+		gemmUseAsm, gemmUseAVX512 = false, avx512
+		if got := KernelTier(); got != "scalar" {
+			t.Errorf("asm off, avx512=%v: tier %q, want scalar", avx512, got)
+		}
+		gemmUseAsm = true
+		got := KernelTier()
+		if (got == "avx512") != avx512 {
+			t.Errorf("asm on, avx512=%v: tier %q", avx512, got)
+		}
+		if !avx512 && got != famNames[gemmArchFamily] {
+			t.Errorf("asm on, avx512 off: tier %q, want the arch tier %q", got, famNames[gemmArchFamily])
+		}
 	}
 }
 
-// gemmFamilySnapshot captures the dispatch table and kernel gates so
-// tests that mutate them restore the host defaults.
-type familySnapshot struct {
-	table  [gemmNumClasses]int32
-	asm    bool
-	avx512 bool
-}
-
-func gemmFamilySnapshot() familySnapshot {
-	var s familySnapshot
-	for i := range gemmDispatch {
-		s.table[i] = gemmDispatch[i].Load()
-	}
-	s.asm, s.avx512 = gemmUseAsm, gemmUseAVX512
-	return s
-}
-
-func (s familySnapshot) restore() {
-	for i := range gemmDispatch {
-		gemmDispatch[i].Store(s.table[i])
-	}
-	gemmUseAsm, gemmUseAVX512 = s.asm, s.avx512
+// saveKernelGates captures the kernel gates and returns a func restoring
+// them, for tests that flip gemmUseAsm/gemmUseAVX512 to force a tier:
+// defer saveKernelGates()().
+func saveKernelGates() (restore func()) {
+	asm, avx512 := gemmUseAsm, gemmUseAVX512
+	return func() { gemmUseAsm, gemmUseAVX512 = asm, avx512 }
 }

@@ -12,12 +12,11 @@ import "sync/atomic"
 //  2. walks a fixed grid of gemmTileRows×gemmTileCols output tiles whose
 //     working set (one packed panel + gemmMR operand rows) stays L1/L2
 //     resident, and
-//  3. computes each tile with a register-blocked micro-kernel, chosen
-//     per product shape from the kernel-family dispatch table
-//     (gemmdispatch.go): the AVX-512 8×8 kernel on capable amd64
-//     machines (gemm_avx512_amd64.s), the AVX2+FMA 4×8 kernel
-//     (gemm_amd64.s), the NEON 4×8 kernel on arm64 (gemm_arm64.s), or
-//     scalar 4×4 blocks when no assembly tier applies.
+//  3. computes each tile with a register-blocked micro-kernel of the
+//     widest tier the host enables (gemmtier.go): the AVX-512 8×8
+//     kernel on capable amd64 machines (gemm_avx512_amd64.s), the
+//     AVX2+FMA 4×8 kernel (gemm_amd64.s), the NEON 4×8 kernel on arm64
+//     (gemm_arm64.s), or scalar 4×4 blocks when no assembly tier applies.
 //
 // The left operand is addressed through an aView — two element strides
 // over the backing slice — so one driver serves A, Aᵀ (MulAtB, Gram) and
@@ -179,7 +178,7 @@ func gemmMain(dst *Dense, m, n, k int, av aView, bdata []float64, bRow, bCol int
 	tR := (m + gemmTileRows - 1) / gemmTileRows
 	tC := (nPanels + tilePanels - 1) / tilePanels
 	cd, ldc := dst.data, dst.cols
-	sel := selectKernels(m, n, k, colExact)
+	sel := selectKernels(colExact)
 	if parallel {
 		forEachTile(tR*tC, func(t int) {
 			gemmTileRun(t, cd, ldc, m, n, k, av, packed, upperOnly, tC, sel, epi)
@@ -199,7 +198,7 @@ func gemmMain(dst *Dense, m, n, k int, av aView, bdata []float64, bRow, bCol int
 // a kernel's height fall through to the next narrower kernel of the same
 // rounding class, so which rows run fused-FMA vs scalar arithmetic is a
 // function of the shape alone, identical in every asm family — the
-// property that keeps measured family dispatch bit-stable. epi, when
+// property that keeps the tiers bit-compatible. epi, when
 // non-nil, runs after the tile completes with its output rectangle.
 //
 //lrm:noalloc — the kernel dispatch: one scheduler tile, stack state only
@@ -335,7 +334,7 @@ func gemmDirect(dst *Dense, m, n, k int, av aView, bdata []float64) bool {
 	if m <= 0 || m > gemmTileRows || n%gemmNR != 0 || k <= 0 || !serialWork(m*n*k) {
 		return false
 	}
-	sel := selectKernels(m, n, k, false)
+	sel := selectKernels(false)
 	if sel.kern4 == nil {
 		return false
 	}

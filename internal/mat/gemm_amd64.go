@@ -49,6 +49,6 @@ func detectAVX2FMA() bool {
 // against the oracle.
 var gemmUseAsm = detectAVX2FMA()
 
-// gemmArchFamily is the architecture's base assembly tier — what the
-// dispatcher falls back to when the AVX-512 tier is absent or disabled.
+// gemmArchFamily is the architecture's base assembly tier — what runs
+// when the AVX-512 tier is absent or disabled.
 const gemmArchFamily = famAVX2

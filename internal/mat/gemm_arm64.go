@@ -29,7 +29,6 @@ func gemmKernelMulAdd4x8(k int64, a *float64, aRowStride, aKStride int64, bp *fl
 // against the oracle.
 var gemmUseAsm = true
 
-// gemmArchFamily is the architecture's base assembly tier — what the
-// dispatcher reports and falls back to on arm64, which has no wider
-// tier.
+// gemmArchFamily is the architecture's base assembly tier — the only
+// one on arm64, which has no wider tier.
 const gemmArchFamily = famNEON

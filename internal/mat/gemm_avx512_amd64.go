@@ -7,9 +7,8 @@ import "os"
 // gemmKernel8x8 is the AVX-512 micro-kernel in gemm_avx512_amd64.s: an
 // 8×8 output block held in eight ZMM accumulators, one fused
 // multiply-add chain per element in ascending k — the same per-element
-// arithmetic as gemmKernel4x8, so the two tiers agree bit for bit and
-// the dispatcher may pick either. It must only be called when
-// gemmUseAVX512 is true.
+// arithmetic as gemmKernel4x8, so the two tiers agree bit for bit. It
+// must only be called when gemmUseAVX512 is true.
 //
 //go:noescape
 func gemmKernel8x8(k int64, a *float64, aRowStride, aKStride int64, bp *float64, bKStride int64, c *float64, cRowStride int64)

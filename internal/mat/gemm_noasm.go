@@ -8,7 +8,7 @@ package mat
 var gemmUseAsm = false
 
 // gemmArchFamily is never consulted while gemmUseAsm is false; famScalar
-// keeps the dispatch table honest if a test flips the gate.
+// keeps the reported tier honest if a test flips the gate.
 const gemmArchFamily = famScalar
 
 // gemmKernel4x8 is never called when gemmUseAsm is false; this stub only

@@ -81,8 +81,7 @@ func TestGEMMOracle(t *testing.T) {
 	if gemmUseAVX512 {
 		modes = append(modes, mode{true, true})
 	}
-	savedAsm, saved512 := gemmUseAsm, gemmUseAVX512
-	defer func() { gemmUseAsm, gemmUseAVX512 = savedAsm, saved512 }()
+	defer saveKernelGates()()
 	for _, md := range modes {
 		gemmUseAsm, gemmUseAVX512 = md.asm, md.avx512
 		for _, sh := range gemmShapes {

@@ -6,20 +6,24 @@ import (
 )
 
 // TestGEMMDirectBitIdentity pins the pack-free contract: on every kernel
-// family this host enables, a small serial product whose right operand
+// tier this host enables, a small serial product whose right operand
 // the kernels read in place (gemmDirect, reached through mulInto and
 // mulAtBInto) equals the packed gemmMain product bit for bit, for plain
 // and transposed-A views. The shapes cover the 8-row blocks and their
 // overlapped-rerun tail, the 4-row fall-through, the scalar rows below 4
 // rows, k = 1, and the full gemmTileRows height.
 func TestGEMMDirectBitIdentity(t *testing.T) {
-	saved := gemmFamilySnapshot()
-	defer saved.restore()
+	defer saveKernelGates()()
 
-	for _, fam := range KernelFamilies() {
-		if err := SetKernelFamily("", fam); err != nil {
-			t.Fatal(err)
-		}
+	// The AVX-512 tier where enabled, then the arch tier (scalar on hosts
+	// without asm kernels).
+	tiers := []bool{false}
+	if gemmUseAVX512 {
+		tiers = []bool{true, false}
+	}
+	for _, avx512 := range tiers {
+		gemmUseAVX512 = avx512
+		fam := KernelTier()
 		for _, m := range []int{1, 3, 4, 7, 8, 10, 64} {
 			for _, n := range []int{8, 128} {
 				for _, k := range []int{1, 10, 64} {

@@ -1,0 +1,90 @@
+package mat
+
+// Kernel tiers. The packed GEMM has one micro-kernel family per
+// instruction-set tier (AVX-512 8×8 and AVX2+FMA 4×8 on amd64, NEON 4×8
+// on arm64, scalar everywhere), and every product runs the widest tier
+// the host enables: a pure function of the two gates gemmUseAsm and
+// gemmUseAVX512, fixed at startup by CPU detection, the noasm/noavx512
+// build tags and the LRM_NOAVX512 environment variable.
+//
+// Determinism across tiers: the asm families are bit-compatible by
+// construction, so a host running a narrower tier (no AVX-512, or
+// LRM_NOAVX512 set) answers, decomposes and restores caches with exactly
+// the bits of the AVX-512 default:
+//
+//   - fused path: every output element is one FMA chain in ascending k.
+//     IEEE FMA lane arithmetic is width-independent, and the 8-row tier
+//     reuses the 4-row kernel of the same rounding class for row ranges
+//     shorter than 8, so the set of rows handled by FMA vs the scalar
+//     row kernel is identical in every asm family (ranges of ≥4 rows are
+//     FMA, shorter ones scalar).
+//   - column-exact path (MulColsTo): every family rounds each step as a
+//     separate multiply and add in ascending k — the dot-product
+//     rounding — so all families, scalar included, agree bitwise.
+//
+// The scalar family's fused path rounds differently; it runs only on
+// builds and hosts without asm kernels.
+
+// gemmFamilyID enumerates the micro-kernel tiers.
+type gemmFamilyID int
+
+const (
+	famScalar gemmFamilyID = iota
+	famAVX2                // amd64 AVX2+FMA 4×8 kernels
+	famAVX512              // amd64 AVX-512 8×8 kernels (4×8 for short row ranges)
+	famNEON                // arm64 NEON 4×8 kernels
+)
+
+var famNames = [...]string{
+	famScalar: "scalar",
+	famAVX2:   "avx2",
+	famAVX512: "avx512",
+	famNEON:   "neon",
+}
+
+// gemmBestFamily returns the widest tier currently enabled.
+func gemmBestFamily() gemmFamilyID {
+	if !gemmUseAsm {
+		return famScalar
+	}
+	if gemmUseAVX512 {
+		return famAVX512
+	}
+	return gemmArchFamily
+}
+
+// kernelSel is the kernel pair gemmTileRun drives: kern8 computes 8-row
+// blocks (nil outside the AVX-512 family), kern4 computes 4-row blocks,
+// both over full gemmNR-wide panels. Both nil selects the scalar kernels.
+type kernelSel struct {
+	kern8 gemmAsmKernel
+	kern4 gemmAsmKernel
+}
+
+// famKernels maps a family and rounding class to its kernel pair.
+func famKernels(fam gemmFamilyID, colExact bool) kernelSel {
+	switch fam {
+	case famAVX512:
+		if colExact {
+			return kernelSel{kern8: gemmKernelMulAdd8x8, kern4: gemmKernelMulAdd4x8}
+		}
+		return kernelSel{kern8: gemmKernel8x8, kern4: gemmKernel4x8}
+	case famAVX2, famNEON:
+		if colExact {
+			return kernelSel{kern4: gemmKernelMulAdd4x8}
+		}
+		return kernelSel{kern4: gemmKernel4x8}
+	default:
+		return kernelSel{}
+	}
+}
+
+// selectKernels returns the widest enabled tier's kernels for the given
+// rounding class.
+func selectKernels(colExact bool) kernelSel {
+	return famKernels(gemmBestFamily(), colExact)
+}
+
+// KernelTier returns the kernel family every product runs on this host:
+// the widest tier enabled.
+func KernelTier() string { return famNames[gemmBestFamily()] }
