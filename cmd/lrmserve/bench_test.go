@@ -18,11 +18,12 @@ import (
 // that the warm end-to-end workloads of bench/lrmload send inline:
 //
 //   - memo-hit: W already memoized, one histogram. Per request: a
-//     structural scan of W's text, one SHA-256, the histogram parse, the
-//     warm engine answer, and the response encode.
+//     bracket scan of W's text and one SHA-256 (no grammar check), the
+//     histogram parse, the warm engine answer, and the response encode.
 //   - first-sight: the same request, but W's text is new to the memo
-//     (reset every iteration), so W is parsed and fingerprinted. The
-//     engine cache is warm, so this is the second-sighting miss.
+//     (reset every iteration), so after the bracket scan and the SHA-256
+//     W is validated, parsed and fingerprinted. The engine cache is
+//     warm, so this is the second-sighting miss.
 //   - memo-hit-B16: memo hit with 16 histograms.
 //
 // MB/s is request bytes per second.

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"strconv"
@@ -13,9 +14,9 @@ import (
 )
 
 // answerBody is a decoded POST /answer body. The workload matrix stays
-// as the exact JSON text of its value, already validated: the handler
-// looks that text up in the warm-W memo and parses it (parseFloats) only
-// on a miss.
+// as the exact JSON text of its value, with its SHA-256 and, when the
+// warm-W memo holds that text, the memo entry: the handler parses the
+// text (parseFloats) only on a memo miss.
 type answerBody struct {
 	// Workload is the text of the "workload" value; its span is nil when
 	// the key is absent, null, or [].
@@ -77,9 +78,15 @@ const (
 //     "histograms". encoding/json stores nothing for it, which leaves a
 //     zero, or for a repeated key the previous value's entry.
 //
-// FuzzDecodeAnswer holds the decoder to this contract.
-func decodeAnswer(body []byte) (answerBody, error) {
-	d := decoder{b: body}
+// The "workload" value is looked up in memo (see decoder.workload): a
+// text the memo holds is taken from it without a grammar scan. Every
+// text the memo holds passed this decoder, so a hit decodes the body
+// exactly as a miss would.
+//
+// FuzzDecodeAnswer holds the decoder to this contract, with and without
+// a memo hit.
+func decodeAnswer(body []byte, memo *wMemo) (answerBody, error) {
+	d := decoder{b: body, memo: memo}
 	var a answerBody
 	d.ws()
 	switch {
@@ -110,8 +117,9 @@ func decodeAnswer(body []byte) (answerBody, error) {
 
 // decoder is a cursor over a JSON body.
 type decoder struct {
-	b []byte
-	i int
+	b    []byte
+	i    int
+	memo *wMemo
 	// w is the latest "workload" value; a repeated key replaces it.
 	w matrixText
 }
@@ -121,6 +129,10 @@ type matrixText struct {
 	span        []byte
 	rows, total int
 	ragged      int // first row whose length differs from row 0's, or -1
+	// key is SHA-256 over span, set on a "workload" value; hit is the
+	// memo entry under key, or nil on a memo miss.
+	key [sha256.Size]byte
+	hit *memoEntry
 }
 
 func (d *decoder) peek() byte {
@@ -130,11 +142,7 @@ func (d *decoder) peek() byte {
 	return 0
 }
 
-func (d *decoder) ws() {
-	for d.i < len(d.b) && isSpace(d.b[d.i]) {
-		d.i++
-	}
-}
+func (d *decoder) ws() { d.i = skipSpace(d.b, d.i) }
 
 // null consumes a null literal if one starts at the cursor.
 func (d *decoder) null() bool {
@@ -201,9 +209,10 @@ func (d *decoder) object(a *answerBody) error {
 // value decodes one field's value into a (the workload into d.w).
 func (d *decoder) value(a *answerBody, field int) error {
 	name := answerFields[field]
-	if field == fieldWorkload && d.w.span != nil {
+	if field == fieldWorkload && d.w.span != nil && d.w.hit == nil {
 		// The value about to be replaced must still be in range:
-		// encoding/json reports an overflow wherever it occurs.
+		// encoding/json reports an overflow wherever it occurs. (A
+		// memoized text was built once, so it is.)
 		if err := parseFloats(d.w.span, nil, nil); err != nil {
 			return err
 		}
@@ -219,7 +228,7 @@ func (d *decoder) value(a *answerBody, field int) error {
 	}
 	switch field {
 	case fieldWorkload:
-		w, err := d.matrix(name)
+		w, err := d.workload()
 		if err != nil {
 			return err
 		}
@@ -283,6 +292,64 @@ func (d *decoder) number(name string) ([]byte, error) {
 	}
 	d.i = end
 	return d.b[start:end], nil
+}
+
+// workload decodes the "workload" value at the cursor and looks it up in
+// the memo. A warm text costs one bracket scan and one SHA-256: the
+// bracket scan finds where an array of arrays would end, and when the
+// memo holds that text the value is taken from the memo entry. Every
+// memo key is the SHA-256 of a text that passed d.matrix and build, and
+// a valid JSON value is prefix-free, so a full scan from the same offset
+// would have ended at the same byte. On a memo miss d.matrix validates
+// the value as before. Any matrix it accepts ends where the bracket scan
+// did, so the candidate's SHA-256 is the key of the validated text and a
+// request hashes its W once.
+func (d *decoder) workload() (matrixText, error) {
+	start := d.i
+	end := bracketEnd(d.b, start)
+	var key [sha256.Size]byte
+	if end >= 0 {
+		key = sha256.Sum256(d.b[start:end])
+		if e := d.memo.lookup(key); e != nil {
+			d.i = end
+			return matrixText{span: d.b[start:end], rows: e.wl.W.Rows(), total: len(e.wl.W.RawData()), ragged: -1, key: key, hit: e}, nil
+		}
+	}
+	w, err := d.matrix("workload")
+	w.key = key
+	return w, err
+}
+
+// bracketEnd returns the end of the array of arrays starting at b[i],
+// found by brackets and whitespace alone: an outer '[', then per row a
+// '[', the next ']', and a ',' or the closing ']' (or an empty '[ ]').
+// It returns -1 at any other byte. The span it delimits is a candidate only: nothing inside a
+// row is checked. A row d.matrix accepts holds numbers, commas and
+// whitespace only, so for every matrix d.matrix accepts bracketEnd ends
+// at the same byte.
+func bracketEnd(b []byte, i int) int {
+	if i >= len(b) || b[i] != '[' {
+		return -1
+	}
+	i = skipSpace(b, i+1)
+	if i < len(b) && b[i] == ']' {
+		return i + 1
+	}
+	for i < len(b) && b[i] == '[' {
+		j := bytes.IndexByte(b[i:], ']')
+		if j < 0 {
+			return -1
+		}
+		i = skipSpace(b, i+j+1)
+		if i < len(b) && b[i] == ']' {
+			return i + 1
+		}
+		if i >= len(b) || b[i] != ',' {
+			return -1
+		}
+		i = skipSpace(b, i+1)
+	}
+	return -1
 }
 
 // numberEnd returns the end of the JSON number starting at b[i], or -1
@@ -428,6 +495,15 @@ func (d *decoder) row(name string) (int, error) {
 }
 
 func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
+
+// skipSpace returns the index of the first non-whitespace byte at or
+// after b[i].
+func skipSpace(b []byte, i int) int {
+	for i < len(b) && isSpace(b[i]) {
+		i++
+	}
+	return i
+}
 
 // parseFloats parses the numbers of a matrix text that d.matrix
 // validated, in order, into flat, and slices flat into rows (one entry

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -38,14 +39,15 @@ func referenceDecode(body []byte) (wireRequest, error) {
 // reference accepts.
 var decodeDeviations = []error{errTrailingData, errNullElement}
 
-// decodeFull runs decodeAnswer and, when it accepts, builds the
-// workload: the two steps a memo miss takes.
-func decodeFull(body []byte) (answerBody, [][]float64, error) {
-	a, err := decodeAnswer(body)
+// decodeFull runs decodeAnswer with memo and, when it accepts, resolves
+// the workload through the memo without admitting anything: a memo hit
+// returns the memoized matrix, a miss builds it.
+func decodeFull(body []byte, memo *wMemo) (answerBody, [][]float64, error) {
+	a, err := decodeAnswer(body, memo)
 	if err != nil || a.Workload.span == nil {
 		return a, nil, err
 	}
-	wl, err := a.Workload.build()
+	wl, _, err := memo.workload(a.Workload, func(string) bool { return false })
 	if err != nil {
 		return answerBody{}, nil, err
 	}
@@ -75,10 +77,17 @@ func sameFloats(a, b [][]float64) bool {
 	return true
 }
 
-// checkDecode holds decodeAnswer to referenceDecode on one body.
+// checkDecode holds decodeAnswer to referenceDecode on one body, then
+// holds a decode with a memo hit to the plain decode (checkMemoHit). An
+// accepted workload's memo key must be SHA-256 over its text: the one
+// hash the decoder took of the bracket-scanned candidate.
 func checkDecode(t *testing.T, body []byte) {
 	t.Helper()
-	got, gotW, gotErr := decodeFull(body)
+	got, gotW, gotErr := decodeFull(body, newWMemo())
+	if w := got.Workload; gotErr == nil && w.span != nil && w.key != sha256.Sum256(w.span) {
+		t.Fatalf("%q: the workload's memo key is not SHA-256 over its text %q", body, w.span)
+	}
+	checkMemoHit(t, body, got, gotW, gotErr)
 	want, wantErr := referenceDecode(body)
 	switch {
 	case wantErr != nil && gotErr != nil:
@@ -93,25 +102,98 @@ func checkDecode(t *testing.T, body []byte) {
 		}
 		t.Fatalf("decodeAnswer rejected %q (%v), encoding/json accepts it and no listed deviation applies", body, gotErr)
 	}
-	if !sameFloats(gotW, want.Workload) {
-		t.Fatalf("%q: workload %v, encoding/json %v", body, gotW, want.Workload)
+	checkSameBody(t, body, "encoding/json", got, gotW, answerBody{
+		Spec: want.Spec, Histograms: want.Histograms, Eps: want.Eps, Budget: want.Budget, Seed: want.Seed, Tenant: want.Tenant,
+	}, want.Workload)
+}
+
+// checkSameBody compares two decodes of body bit for bit.
+func checkSameBody(t *testing.T, body []byte, ref string, got answerBody, gotW [][]float64, want answerBody, wantW [][]float64) {
+	t.Helper()
+	if !sameFloats(gotW, wantW) {
+		t.Fatalf("%q: workload %v, %s %v", body, gotW, ref, wantW)
 	}
 	if !sameFloats(got.Histograms, want.Histograms) {
-		t.Fatalf("%q: histograms %v, encoding/json %v", body, got.Histograms, want.Histograms)
+		t.Fatalf("%q: histograms %v, %s %v", body, got.Histograms, ref, want.Histograms)
 	}
 	if math.Float64bits(got.Eps) != math.Float64bits(want.Eps) || math.Float64bits(got.Budget) != math.Float64bits(want.Budget) {
-		t.Fatalf("%q: eps %v budget %v, encoding/json eps %v budget %v", body, got.Eps, got.Budget, want.Eps, want.Budget)
+		t.Fatalf("%q: eps %v budget %v, %s eps %v budget %v", body, got.Eps, got.Budget, ref, want.Eps, want.Budget)
 	}
 	if got.Seed != want.Seed || got.Spec != want.Spec || got.Tenant != want.Tenant {
-		t.Fatalf("%q: seed %d spec %q tenant %q, encoding/json seed %d spec %q tenant %q",
-			body, got.Seed, got.Spec, got.Tenant, want.Seed, want.Spec, want.Tenant)
+		t.Fatalf("%q: seed %d spec %q tenant %q, %s seed %d spec %q tenant %q",
+			body, got.Seed, got.Spec, got.Tenant, ref, want.Seed, want.Spec, want.Tenant)
+	}
+}
+
+// checkMemoHit decodes body again with a memo primed with its workload
+// texts: the value that won the plain decode, and the bracket-delimited
+// candidate after each key the decoder reads as "workload" that is a
+// valid workload on its own (so a body the plain decode rejects can still reach a hit). The
+// hit path must accept and reject what the plain decode does, with the
+// same error, decode accepted bodies to bit-identical fields, and serve
+// the winning workload as a memo hit.
+func checkMemoHit(t *testing.T, body []byte, plain answerBody, plainW [][]float64, plainErr error) {
+	t.Helper()
+	memo := newWMemo()
+	var texts [][]byte
+	for i := 0; i < len(body); i++ {
+		if body[i] != '"' {
+			continue
+		}
+		// Read a key from every quote with the decoder's own rules
+		// (escapes, case folding, whitespace around ':').
+		d := decoder{b: body, i: i}
+		key, err := d.str()
+		if err != nil || !bytes.EqualFold(key, []byte(answerFields[fieldWorkload])) {
+			continue
+		}
+		if d.ws(); d.peek() != ':' {
+			continue
+		}
+		d.i++
+		d.ws()
+		if end := bracketEnd(body, d.i); end >= 0 {
+			texts = append(texts, body[d.i:end])
+		}
+	}
+	texts = append(texts, plain.Workload.span)
+	primed := false
+	for _, text := range texts {
+		a, err := decodeAnswer(append([]byte(`{"workload":`+string(text)), '}'), memo)
+		if err != nil || a.Workload.span == nil {
+			continue
+		}
+		if _, _, err := memo.workload(a.Workload, func(string) bool { return true }); err == nil {
+			primed = true
+		}
+	}
+	if !primed {
+		return
+	}
+	before := memo.stats()
+	got, gotW, gotErr := decodeFull(body, memo)
+	after := memo.stats()
+	switch {
+	case (gotErr == nil) != (plainErr == nil):
+		t.Fatalf("%q: plain decode error %v, with a memo hit %v", body, plainErr, gotErr)
+	case gotErr != nil:
+		if gotErr.Error() != plainErr.Error() {
+			t.Fatalf("%q: plain decode error %q, with a memo hit %q", body, plainErr, gotErr)
+		}
+		return
+	}
+	checkSameBody(t, body, "the plain decode", got, gotW, plain, plainW)
+	if plainW != nil && (after.Hits != before.Hits+1 || after.Misses != before.Misses) {
+		t.Fatalf("%q: memo %+v → %+v with its workload primed, want one hit", body, before, after)
 	}
 }
 
 // FuzzDecodeAnswer is the differential fuzz of decodeAnswer against
 // encoding/json: both must accept the same bodies — except for the
 // listed deviations, which may only reject — and decode accepted ones to
-// bit-identical fields. The checked-in corpus under testdata/fuzz covers
+// bit-identical fields. Each body is also decoded with its workload text
+// memoized, which must change nothing but serve W from the memo
+// (checkMemoHit). The checked-in corpus under testdata/fuzz covers
 // the grammar's corners; run the fuzzer with
 //
 //	go test ./cmd/lrmserve -run '^$' -fuzz FuzzDecodeAnswer -fuzztime 15s
@@ -145,7 +227,7 @@ func TestDecodeAnswerDeviations(t *testing.T) {
 			if _, err := referenceDecode([]byte(tc.body)); err != nil {
 				t.Fatalf("encoding/json rejects %s (%v): not a deviation", tc.body, err)
 			}
-			if _, err := decodeAnswer([]byte(tc.body)); !errors.Is(err, tc.dev) {
+			if _, err := decodeAnswer([]byte(tc.body), newWMemo()); !errors.Is(err, tc.dev) {
 				t.Fatalf("decodeAnswer(%s) = %v, want %v", tc.body, err, tc.dev)
 			}
 		})
@@ -155,7 +237,7 @@ func TestDecodeAnswerDeviations(t *testing.T) {
 // TestDecodeAnswerSemantics spells out the encoding/json behaviours the
 // decoder reproduces, beyond agreeing with the reference on each body.
 func TestDecodeAnswerSemantics(t *testing.T) {
-	a, err := decodeAnswer([]byte(`{"EPS":1,"eps":2,"Seed":3,"seed":null,"tenant":"aé😀\ud800x","spec":"p\"q","workload":[[1,2]],"workload":null}`))
+	a, err := decodeAnswer([]byte(`{"EPS":1,"eps":2,"Seed":3,"seed":null,"tenant":"aé😀\ud800x","spec":"p\"q","workload":[[1,2]],"workload":null}`), newWMemo())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +246,7 @@ func TestDecodeAnswerSemantics(t *testing.T) {
 	}
 	// The workload text is kept verbatim; parsing it is the miss path.
 	body := []byte(`{"workload": [ [1.0, -0] ,[2e0,3] ] ,"eps":1}`)
-	a, err = decodeAnswer(body)
+	a, err = decodeAnswer(body, newWMemo())
 	if err != nil {
 		t.Fatal(err)
 	}

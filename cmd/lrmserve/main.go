@@ -72,12 +72,13 @@
 //	    repeated key winning, null leaving a number or string unchanged),
 //	    except that it rejects bytes after the object and null inside the
 //	    numeric arrays. A repeated inline workload is served from the
-//	    warm-W memo: SHA-256 over the exact bytes of the "workload" value
-//	    names a workload already parsed and fingerprinted, so a warm
-//	    request skips parsing W. A W is memoized when its fingerprint is
-//	    already prepared as its request arrives (from its second sighting
-//	    on); the memo holds at most 16 matrices and 256 MiB of them, and
-//	    GET /stats reports its entries, hits and misses.
+//	    warm-W memo: the decoder finds the "workload" value by its
+//	    brackets and looks up SHA-256 over its exact bytes, so a warm
+//	    request skips validating, parsing and fingerprinting W. A W is
+//	    memoized when its fingerprint is already prepared as its request
+//	    arrives (from its second sighting on); the memo holds at most 16
+//	    matrices and 256 MiB of them, and GET /stats reports its entries,
+//	    hits and misses.
 //	GET /stats
 //	    Engine counter snapshot (cache hits/misses, prepares, planned,
 //	    evictions, disk traffic, requests, answers) plus the serving
@@ -498,16 +499,16 @@ func decodeRequest(w http.ResponseWriter, r *http.Request, eng *engine.Engine, m
 	} else if err != nil {
 		return answerRequest{}, http.StatusBadRequest, fmt.Errorf("reading request body: %v", err)
 	}
-	body, err := decodeAnswer(buf.Bytes())
+	body, err := decodeAnswer(buf.Bytes(), memo)
 	if err != nil {
 		return answerRequest{}, http.StatusBadRequest, fmt.Errorf("bad request body: %v", err)
 	}
 	req := answerRequest{answerBody: body}
 	// Reject a hopeless privacy budget before any engine work: a zero,
 	// negative, or non-finite ε can never release anything, so it must
-	// not cost a workload parse, a hash, a cache slot, or a coalescing
-	// window. (JSON cannot carry NaN or Inf, but the range check still
-	// owns them for completeness.)
+	// not cost a workload parse, a fingerprint, a cache slot, or a
+	// coalescing window. (JSON cannot carry NaN or Inf, but the range
+	// check still owns them for completeness.)
 	if err := privacy.Epsilon(req.Eps).Validate(); err != nil {
 		return answerRequest{}, http.StatusBadRequest, err
 	}
@@ -526,10 +527,10 @@ func decodeRequest(w http.ResponseWriter, r *http.Request, eng *engine.Engine, m
 		return answerRequest{}, http.StatusBadRequest, errors.New("workload matrix is empty")
 	default:
 		// The fingerprint is computed once, up front (or comes from the
-		// memo): the engine reuses it for cache keying, the coalescer
-		// groups concurrent requests by it, admission control reads
-		// warmth from it, and the response echoes it so clients can
-		// correlate with /stats.
+		// memo entry the decoder found): the engine reuses it for cache
+		// keying, the coalescer groups concurrent requests by it,
+		// admission control reads warmth from it, and the response
+		// echoes it so clients can correlate with /stats.
 		if req.wl, req.fp, err = memo.workload(req.Workload, eng.Warm); err != nil {
 			return answerRequest{}, http.StatusBadRequest, fmt.Errorf("bad request body: %v", err)
 		}

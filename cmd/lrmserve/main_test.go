@@ -38,7 +38,7 @@ func testWorkload(rows [][]float64) (*workload.Workload, error) {
 	if err != nil {
 		return nil, err
 	}
-	a, err := decodeAnswer(body)
+	a, err := decodeAnswer(body, newWMemo())
 	if err != nil {
 		return nil, err
 	}

@@ -10,18 +10,22 @@ import (
 
 // The warm-W memo takes W off the warm request path. The engine caches
 // preparations by W's content fingerprint, but a client that ships W
-// inline still pays, on every request, for parsing about a megabyte of
-// JSON numbers and hashing the matrix. The memo maps SHA-256 over the
-// exact bytes of the "workload" value to the workload built from those
-// bytes and its fingerprint, so a repeat of the same text costs one
-// structural scan and one SHA-256.
+// inline still pays, on every request, for validating and parsing about
+// a megabyte of JSON numbers and fingerprinting the matrix. The memo maps
+// SHA-256 over the exact bytes of the "workload" value to the workload
+// built from those bytes and its fingerprint. The decoder looks the value
+// up before it checks its grammar (decoder.workload), so a repeat of the
+// same text costs one bracket scan and one SHA-256; only a miss is
+// validated, parsed and fingerprinted.
 //
 // Only warm traffic is memoized: a W enters when its fingerprint was
 // already prepared in the engine as its request arrived, i.e. from its
 // second sighting on. A W sent once, like every request of a cold
 // workload stream, pins nothing. The same matrix spelled differently
 // (1 vs 1.0, other whitespace) is a different key; it misses the memo
-// but still hits the engine cache under the same fingerprint.
+// but still hits the engine cache under the same fingerprint. Only texts
+// that passed the decoder and parsed in range become keys, which is what
+// lets a hit skip the grammar scan.
 //
 // Memoized matrices are shared by concurrent requests and never written.
 
@@ -72,14 +76,22 @@ func (m *wMemo) stats() memoStats {
 	return memoStats{Entries: len(m.m), Bytes: m.bytes, Hits: m.hits, Misses: m.misses}
 }
 
-// workload returns the workload the validated matrix text w encodes and
-// its fingerprint: from the memo when the exact text was memoized,
-// otherwise parsed, hashed, and — if warm reports the fingerprint as
-// already prepared — memoized for the next request.
-func (m *wMemo) workload(w matrixText, warm func(fp string) bool) (*workload.Workload, string, error) {
-	key := sha256.Sum256(w.span)
+// lookup returns the entry memoized under key, or nil. It counts
+// nothing: the request may still be rejected or its workload replaced,
+// and only the workload that wins reaches m.workload.
+func (m *wMemo) lookup(key [sha256.Size]byte) *memoEntry {
 	m.mu.Lock()
-	if e, ok := m.m[key]; ok {
+	defer m.mu.Unlock()
+	return m.m[key]
+}
+
+// workload returns the workload the decoded matrix text w encodes and
+// its fingerprint: from the memo entry the decoder found for it (a hit),
+// otherwise parsed, fingerprinted, and — if warm reports the fingerprint
+// as already prepared — memoized under w.key for the next request.
+func (m *wMemo) workload(w matrixText, warm func(fp string) bool) (*workload.Workload, string, error) {
+	m.mu.Lock()
+	if e := w.hit; e != nil {
 		m.clock++
 		e.used = m.clock
 		m.hits++
@@ -95,7 +107,7 @@ func (m *wMemo) workload(w matrixText, warm func(fp string) bool) (*workload.Wor
 	}
 	fp := core.Fingerprint(wl.W)
 	if warm(fp) {
-		m.put(key, &memoEntry{wl: wl, fp: fp})
+		m.put(w.key, &memoEntry{wl: wl, fp: fp})
 	}
 	return wl, fp, nil
 }

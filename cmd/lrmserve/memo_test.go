@@ -1,7 +1,9 @@
 package main
 
 import (
+	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -48,20 +50,35 @@ func workloadBody(t *testing.T, w [][]float64) string {
 	return string(raw)
 }
 
-// postBody posts a raw /answer body and returns the echoed fingerprint.
+// postBody posts a raw /answer body that must succeed and returns the
+// echoed fingerprint.
 func postBody(t *testing.T, url, body string) string {
+	t.Helper()
+	status, fp := postStatus(t, url, body)
+	if status != http.StatusOK {
+		t.Errorf("status %d", status)
+	}
+	return fp
+}
+
+// postStatus posts a raw /answer body and returns the status and the
+// echoed fingerprint ("" unless 200). It reports failures with t.Error,
+// so goroutines may call it.
+func postStatus(t *testing.T, url, body string) (int, string) {
 	t.Helper()
 	resp, err := http.Post(url+"/answer", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Error(err)
-		return ""
+		return 0, ""
 	}
 	defer resp.Body.Close()
 	var out answerResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil || resp.StatusCode != http.StatusOK {
-		t.Errorf("status %d, decode error %v", resp.StatusCode, err)
+	if resp.StatusCode == http.StatusOK {
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Error(err)
+		}
 	}
-	return out.Fingerprint
+	return resp.StatusCode, out.Fingerprint
 }
 
 func fingerprintOf(w [][]float64) string { return core.Fingerprint(mat.FromRows(w)) }
@@ -83,7 +100,8 @@ func TestMemoIgnoresOneOffWorkloads(t *testing.T) {
 
 // TestMemoAdmitsOnSecondSighting: the first request prepares W and is
 // not memoized; the second finds W warm and memoizes it; every later one
-// hits. Every response echoes core.Fingerprint(W).
+// hits, found by the decoder's lookup. Every response echoes
+// core.Fingerprint(W).
 func TestMemoAdmitsOnSecondSighting(t *testing.T) {
 	srv, eng, memo := memoServer(t)
 	w := memoW(1)
@@ -135,9 +153,12 @@ func TestMemoRespelledWorkload(t *testing.T) {
 }
 
 // TestMemoConcurrentHammer mixes hits and misses from many goroutines
-// over a few workloads, each in two spellings. Every response must echo
-// the right fingerprint, and afterwards every memoized matrix must still
-// hash to its fingerprint: shared matrices are never written.
+// over a few workloads, each in two spellings (compact, and with a space
+// after the outer bracket), through decodeRequest, where the bracket
+// scan finds both. Every response must echo the right
+// fingerprint, every request must count as exactly one hit or miss, and
+// afterwards every memoized matrix must still hash to its fingerprint:
+// shared matrices are never written.
 func TestMemoConcurrentHammer(t *testing.T) {
 	srv, _, memo := memoServer(t)
 	const workloads, clients, rounds = 3, 6, 12
@@ -166,8 +187,8 @@ func TestMemoConcurrentHammer(t *testing.T) {
 	}
 	wg.Wait()
 	st := memo.stats()
-	if st.Entries != len(bodies) || st.Hits == 0 {
-		t.Fatalf("memo %+v, want all %d spellings memoized and some hits", st, len(bodies))
+	if st.Entries != len(bodies) || st.Hits == 0 || st.Hits+st.Misses != workloads+clients*rounds {
+		t.Fatalf("memo %+v, want all %d spellings memoized, some hits, and %d lookups", st, len(bodies), workloads+clients*rounds)
 	}
 	memo.mu.Lock()
 	defer memo.mu.Unlock()
@@ -217,31 +238,135 @@ func TestMemoSurvivesEngineEviction(t *testing.T) {
 
 // TestMemoBounded: the memo never holds more than memoEntries matrices,
 // evicts the least recently used first, and keeps its byte count exact.
+// Every request goes through the decoder's lookup, as a served one does.
 func TestMemoBounded(t *testing.T) {
 	memo := newWMemo()
-	warm := func(string) bool { return true }
-	text := func(k int) matrixText {
-		a, err := decodeAnswer([]byte(fmt.Sprintf(`{"workload":[[%d,1],[2,3]]}`, k)))
+	request := func(k int) {
+		t.Helper()
+		a, err := decodeAnswer([]byte(fmt.Sprintf(`{"workload":[[%d,1],[2,3]]}`, k)), memo)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return a.Workload
-	}
-	if _, _, err := memo.workload(text(0), warm); err != nil {
-		t.Fatal(err)
-	}
-	for k := 1; k < 3*memoEntries; k++ {
-		memo.workload(text(0), warm) // keep entry 0 the most recently used
-		if _, _, err := memo.workload(text(k), warm); err != nil {
+		if _, _, err := memo.workload(a.Workload, func(string) bool { return true }); err != nil {
 			t.Fatal(err)
 		}
+	}
+	request(0)
+	for k := 1; k < 3*memoEntries; k++ {
+		request(0) // keep entry 0 the most recently used
+		request(k)
 		if st := memo.stats(); st.Entries > memoEntries || st.Bytes != st.Entries*4*8 {
 			t.Fatalf("after %d workloads: memo %+v, want ≤ %d entries of 32 bytes", k+1, st, memoEntries)
 		}
 	}
 	before := memo.stats()
-	memo.workload(text(0), warm)
-	if after := memo.stats(); after.Hits != before.Hits+1 {
+	request(0)
+	if after := memo.stats(); after.Hits != before.Hits+1 || after.Misses != before.Misses {
 		t.Fatal("the most recently used entry was evicted")
+	}
+	if st := memo.stats(); st.Hits != 3*memoEntries || st.Misses != 3*memoEntries {
+		t.Fatalf("memo %+v, want %d hits and as many misses", st, 3*memoEntries)
+	}
+}
+
+// TestDecodeMemoHitKeepsContract: a memo hit skips W's grammar scan but
+// nothing else, so the body around a memoized W is held to the same
+// contract as a miss, and only a valid W reaches the memo. Each case
+// posts one body to a server whose memo holds W, then reposts it twice:
+// a rejected body never adds a memo entry.
+func TestDecodeMemoHitKeepsContract(t *testing.T) {
+	w := memoW(30)
+	wText := `[[1,0,30],[1,1,0],[0,1,1]]`
+	other := `[[1,0,31],[1,1,0],[0,1,1]]`
+	body := func(workload, rest string) string {
+		return `{"workload":` + workload + rest + `,"histograms":[[1,2,3]],"eps":0.5}`
+	}
+	cases := []struct {
+		name   string
+		body   string
+		status int
+		dev    error  // the decode error, when it is a listed deviation
+		fp     string // the fingerprint a 200 echoes
+		// Deltas of the memo's hits, misses and entries and the engine's
+		// cache hits and prepares over the first post.
+		hits, misses, entries, engHits, prepares int
+	}{
+		{name: "hit", body: body(wText, ""), status: 200, fp: fingerprintOf(w), hits: 1, engHits: 1},
+		{name: "hit then trailing data", body: body(wText, "") + " x", status: 400, dev: errTrailingData},
+		{name: "hit then trailing object", body: body(wText, "") + `{"eps":1}`, status: 400, dev: errTrailingData},
+		{name: "hit then null", body: body(wText, `,"workload":null`), status: 400},
+		{name: "hit then a different W", body: body(wText, `,"workload":`+other), status: 200,
+			fp: fingerprintOf([][]float64{{1, 0, 31}, {1, 1, 0}, {0, 1, 1}}), misses: 1, prepares: 1},
+		{name: "hit with invalid histograms", body: `{"workload":` + wText + `,"histograms":[[1,2,"3"]],"eps":0.5}`, status: 400},
+		{name: "hit with a null histogram entry", body: `{"workload":` + wText + `,"histograms":[[1,null,3]],"eps":0.5}`, status: 400, dev: errNullElement},
+		{name: "hit with a short histogram", body: `{"workload":` + wText + `,"histograms":[[1,2]],"eps":0.5}`, status: 400, hits: 1},
+		{name: "hit with spec", body: body(wText, `,"spec":"prefix(3)"`), status: 400},
+		// A respelling misses the memo, hits the engine, and, being warm,
+		// is admitted under its own text.
+		{name: "respelled number", body: body(`[[1.0,0,30],[1,1,0],[0,1,1]]`, ""), status: 200, fp: fingerprintOf(w), misses: 1, entries: 1, engHits: 1},
+		{name: "respelled whitespace", body: body(`[[1,0,30], [1,1,0],[0,1,1]]`, ""), status: 200, fp: fingerprintOf(w), misses: 1, entries: 1, engHits: 1},
+		{name: "bracket-balanced junk", body: body(`[["1]"]]`, ""), status: 400},
+		{name: "nested rows", body: body(`[[[1]]]`, ""), status: 400},
+		{name: "unterminated row", body: body(`[[1,0,30]`, ""), status: 400},
+		{name: "ragged W", body: body(`[[1,0,30],[1,1]]`, ""), status: 400},
+		{name: "out-of-range W", body: body(`[[1e400,0,30],[1,1,0],[0,1,1]]`, ""), status: 400, misses: 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, eng, memo := memoServer(t)
+			warmup := workloadBody(t, w)
+			if !strings.Contains(warmup, `"workload":`+wText+`,`) {
+				t.Fatalf("warm-up body %s does not spell W as %s", warmup, wText)
+			}
+			postBody(t, srv.URL, warmup)
+			postBody(t, srv.URL, warmup) // memoized
+			if tc.dev != nil {
+				if _, err := decodeAnswer([]byte(tc.body), memo); !errors.Is(err, tc.dev) {
+					t.Fatalf("decodeAnswer = %v, want %v", err, tc.dev)
+				}
+			}
+			before, engBefore := memo.stats(), eng.Stats()
+			status, fp := postStatus(t, srv.URL, tc.body)
+			after, engAfter := memo.stats(), eng.Stats()
+			if status != tc.status || fp != tc.fp {
+				t.Fatalf("status %d fingerprint %q, want %d %q", status, fp, tc.status, tc.fp)
+			}
+			got := [...]int{int(after.Hits - before.Hits), int(after.Misses - before.Misses), after.Entries - before.Entries,
+				int(engAfter.Hits - engBefore.Hits), int(engAfter.Prepares - engBefore.Prepares)}
+			if want := [...]int{tc.hits, tc.misses, tc.entries, tc.engHits, tc.prepares}; got != want {
+				t.Fatalf("memo hits, misses, entries and engine hits, prepares moved by %v, want %v", got, want)
+			}
+			if status != 200 {
+				postStatus(t, srv.URL, tc.body)
+				postStatus(t, srv.URL, tc.body)
+				if st := memo.stats(); st.Entries != before.Entries || st.Bytes != before.Bytes {
+					t.Fatalf("memo %+v after a rejected body was posted three times, was %+v", st, before)
+				}
+			}
+		})
+	}
+}
+
+// TestMemoHitSkipsGrammarScan pins what makes a hit cheap: the decoder
+// trusts a memo key and does not re-check the grammar of the text it
+// names, whatever whitespace lies between its rows. A key planted over
+// text that is not JSON is taken as that entry's workload. A served memo
+// only keys texts that passed the full decoder, so this never happens
+// outside the test.
+func TestMemoHitSkipsGrammarScan(t *testing.T) {
+	memo := newWMemo()
+	wl, err := testWorkload([][]float64{{1, 2}, {3, 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := "[ [x] ,\n\t[y]\r]"
+	memo.put(sha256.Sum256([]byte(text)), &memoEntry{wl: wl, fp: "planted"})
+	body := []byte(`{"workload": ` + text + ` ,"eps":1}`)
+	a, err := decodeAnswer(body, memo)
+	if err != nil || a.Workload.hit == nil || a.Workload.rows != 2 || a.Workload.total != 4 {
+		t.Fatalf("decodeAnswer = %+v, %v: want the planted entry", a.Workload, err)
+	}
+	if _, err := decodeAnswer(body, newWMemo()); err == nil {
+		t.Fatal("without the memo entry the text must fail the grammar scan")
 	}
 }
