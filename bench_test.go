@@ -21,7 +21,6 @@ import (
 	"lrm/internal/mechanism"
 	"lrm/internal/optimize"
 	"lrm/internal/rng"
-	"lrm/internal/sparse"
 	"lrm/internal/transform"
 	"lrm/internal/workload"
 )
@@ -479,28 +478,6 @@ func BenchmarkRandSVDLowRank(b *testing.B) {
 		if _, err := mat.RandSVD(w, 8, mat.RandSVDOptions{Seed: 1}); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkSparseMulVec measures CSR mat-vec on a range workload against
-// the dense product below.
-func BenchmarkSparseMulVec(b *testing.B) {
-	w := workload.Range(256, 4096, rng.New(35))
-	a := sparse.FromDense(w.W, 0)
-	x := rng.New(36).UniformVec(4096, 0, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.MulVec(x)
-	}
-}
-
-// BenchmarkDenseMulVec is the dense counterpart of BenchmarkSparseMulVec.
-func BenchmarkDenseMulVec(b *testing.B) {
-	w := workload.Range(256, 4096, rng.New(35))
-	x := rng.New(36).UniformVec(4096, 0, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mat.MulVec(w.W, x)
 	}
 }
 

@@ -10,8 +10,7 @@
 // algorithm (reference [24]), the compressive mechanism with OMP
 // reconstruction (reference [17]), bucketized DP histograms (reference
 // [29]), a free consistency projection onto the workload's column space,
-// a sparse (CSR + CGLS) strategy-mechanism path for tree/wavelet
-// strategies, rank tuning, and a Rényi-DP accountant.
+// and rank tuning.
 //
 // Workloads come in two forms. A dense Workload holds the m×n query
 // matrix explicitly; a WorkloadSpec describes the same queries

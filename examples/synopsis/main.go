@@ -95,7 +95,7 @@ func main() {
 		lrm.Fourier{K: 3},
 		lrm.Histogram{Buckets: 8},
 		lrm.Compressive{Measurements: 40, Sparsity: 2, Seed: 7},
-		lrm.LRM{Options: lrm.DecomposeOptions{IdentityFallback: true, MaxOuterIter: 20}},
+		lrm.LRM{Options: lrm.DecomposeOptions{MaxOuterIter: 20}},
 	}
 
 	fmt.Printf("%-8s", "data")

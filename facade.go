@@ -13,7 +13,6 @@ import (
 	"lrm/internal/plan"
 	"lrm/internal/privacy"
 	"lrm/internal/rng"
-	"lrm/internal/sparse"
 	"lrm/internal/workload"
 )
 
@@ -255,41 +254,11 @@ var (
 	ExponentialMechanism = privacy.ExponentialMechanism
 	// GeometricMechanism adds two-sided geometric noise to an integer.
 	GeometricMechanism = privacy.GeometricMechanism
-	// GaussianMechanism adds (ε,δ)-DP Gaussian noise.
-	GaussianMechanism = privacy.GaussianMechanism
 	// AdvancedComposition accounts k-fold composition tightly.
 	AdvancedComposition = privacy.AdvancedComposition
 	// Sensitivity computes the L1 sensitivity of a query matrix.
 	Sensitivity = privacy.Sensitivity
-	// NewSparseVector starts a sparse-vector-technique run.
-	NewSparseVector = privacy.NewSparseVector
 )
-
-// SparseVector is the sparse vector technique: threshold queries that pay
-// budget only for positive answers.
-type SparseVector = privacy.SparseVector
-
-// RDPAccountant composes Gaussian/Laplace releases in Rényi DP and
-// converts to (ε, δ); far tighter than naive composition for iterative
-// releases.
-type RDPAccountant = privacy.RDPAccountant
-
-var (
-	// NewRDPAccountant starts an empty Rényi-DP accountant.
-	NewRDPAccountant = privacy.NewRDPAccountant
-	// GaussianSigmaForBudget calibrates the noise multiplier for k
-	// composed Gaussian releases under an (ε, δ) budget.
-	GaussianSigmaForBudget = privacy.GaussianSigmaForBudget
-	// RandomizedResponse releases one bit under local ε-DP.
-	RandomizedResponse = privacy.RandomizedResponse
-)
-
-// EvaluateDistribution measures a mechanism's full per-trial error
-// distribution (mean, CI, order statistics, per-query errors).
-var EvaluateDistribution = metrics.EvaluateDistribution
-
-// ErrorDistribution summarizes per-trial squared errors with error bars.
-type ErrorDistribution = metrics.Distribution
 
 // Explicit strategy-matrix constructors (the dense equivalents of the
 // wavelet and hierarchical mechanisms).
@@ -301,17 +270,6 @@ var (
 // NewStrategyMechanism answers a workload through an arbitrary strategy
 // matrix A (the matrix-mechanism template).
 var NewStrategyMechanism = mechanism.NewStrategyPrepared
-
-// NewSparseStrategyMechanism is the scalable variant for structurally
-// sparse strategies (tree/wavelet): CSR mat-vecs plus iterative CGLS
-// inference instead of a dense pseudo-inverse.
-var NewSparseStrategyMechanism = mechanism.NewSparseStrategyPrepared
-
-// SparseMatrix is a compressed-sparse-row matrix (see SparseFromDense).
-type SparseMatrix = sparse.CSR
-
-// SparseFromDense converts a dense matrix to CSR, dropping |v| ≤ tol.
-var SparseFromDense = sparse.FromDense
 
 // Measurement reports a mechanism's measured accuracy and timing.
 type Measurement = metrics.Measurement

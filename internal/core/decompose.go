@@ -65,14 +65,6 @@ type Options struct {
 	// keeping the best feasible result. The program is nonconvex, so
 	// extra starts can escape the SVD basin. 0 or 1 means a single run.
 	Restarts int
-	// IdentityFallback, when set, compares the optimized decomposition
-	// against the trivial identity strategy (B = W, L = I, the
-	// noise-on-data mechanism) and returns whichever has lower expected
-	// error. This guarantees the result is never worse than the Laplace
-	// baseline, at the cost of departing from the paper's Algorithm 1
-	// (whose output on near-full-rank workloads can lose to LM, as the
-	// paper's own Figure 4 shows at small domains). Off by default.
-	IdentityFallback bool
 	// RandomizedInit replaces the full Jacobi SVD used for the rank
 	// default and the Lemma-3 starting point with the randomized range
 	// finder (mat.RandSVD). On genuinely low-rank workloads — WRelated,
@@ -372,21 +364,6 @@ func decompose(w *mat.Dense, preSVD *mat.SVD, opts Options) (*Decomposition, err
 		Converged:       convergedOut,
 	}
 	d.Normalize()
-
-	if o.IdentityFallback {
-		// The identity strategy is always feasible with zero residual;
-		// prefer it when the optimizer did worse.
-		identitySSE := 2 * wNorm * wNorm // 2·ΣWᵢⱼ² on the original scale
-		if d.ExpectedSSE(1) > identitySSE || !d.Converged {
-			d = &Decomposition{
-				B:               mat.Scale(wNorm, w), // the original W
-				L:               mat.Eye(n),
-				Residual:        0,
-				OuterIterations: outerOut,
-				Converged:       true,
-			}
-		}
-	}
 	return d, nil
 }
 

@@ -9,16 +9,20 @@ import (
 	"lrm/internal/workload"
 )
 
-func TestIdentityFallbackNeverWorseThanNOD(t *testing.T) {
+// The identity strategy (B = W, L = I, noise-on-data) is one of the
+// candidates Decompose always considers, so its result never loses to
+// LM, however starved the optimizer is, and never collapses to the
+// identity when the optimizer finds a better low-rank strategy.
+
+func TestDecomposeNeverWorseThanIdentity(t *testing.T) {
 	// On a hard full-rank workload with a tiny iteration budget, the
-	// optimizer alone can lose to noise-on-data; the fallback must cap
-	// the error at the NOD level.
+	// optimizer alone can lose to noise-on-data; the identity candidate
+	// must cap the error at the NOD level.
 	w := workload.Prefix(24)
 	opts := Options{
-		IdentityFallback: true,
-		MaxOuterIter:     5, // deliberately starved
-		MaxInnerIter:     2,
-		MaxNesterovIter:  10,
+		MaxOuterIter:    5, // deliberately starved
+		MaxInnerIter:    2,
+		MaxNesterovIter: 10,
 	}
 	d, err := Decompose(w.W, opts)
 	if err != nil {
@@ -26,24 +30,24 @@ func TestIdentityFallbackNeverWorseThanNOD(t *testing.T) {
 	}
 	nod := 2 * mat.SquaredSum(w.W)
 	if got := d.ExpectedSSE(1); got > nod*(1+1e-9) {
-		t.Fatalf("fallback SSE %v exceeds NOD %v", got, nod)
+		t.Fatalf("decomposition SSE %v exceeds NOD %v", got, nod)
 	}
 	if d.Residual != 0 && d.ExpectedSSE(1) > nod {
-		t.Fatal("fallback not applied despite worse objective")
+		t.Fatal("identity candidate not chosen despite worse objective")
 	}
 }
 
-func TestIdentityFallbackKeepsGoodDecomposition(t *testing.T) {
-	// On a low-rank workload the optimizer wins; the fallback must not
-	// replace it with the (much worse) identity strategy.
+func TestDecomposeKeepsLowRankOverIdentity(t *testing.T) {
+	// On a low-rank workload the optimizer wins; the identity candidate
+	// must not replace it.
 	w := workload.Related(24, 40, 3, rng.New(1))
-	d, err := Decompose(w.W, Options{IdentityFallback: true})
+	d, err := Decompose(w.W, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	nod := 2 * mat.SquaredSum(w.W)
 	if got := d.ExpectedSSE(1); got > 0.8*nod {
-		t.Fatalf("fallback degraded a good decomposition: %v vs NOD %v", got, nod)
+		t.Fatalf("identity candidate degraded a good decomposition: %v vs NOD %v", got, nod)
 	}
 	// The kept decomposition must not be the identity (rank r ≪ n).
 	if d.L.Rows() == d.L.Cols() && d.L.EqualApprox(mat.Eye(d.L.Cols()), 1e-12) {
@@ -51,9 +55,9 @@ func TestIdentityFallbackKeepsGoodDecomposition(t *testing.T) {
 	}
 }
 
-func TestIdentityFallbackStillAnswersCorrectly(t *testing.T) {
+func TestDecomposeStarvedStillAnswersCorrectly(t *testing.T) {
 	w := workload.Prefix(12)
-	d, err := Decompose(w.W, Options{IdentityFallback: true, MaxOuterIter: 3, MaxInnerIter: 1, MaxNesterovIter: 5})
+	d, err := Decompose(w.W, Options{MaxOuterIter: 3, MaxInnerIter: 1, MaxNesterovIter: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +65,7 @@ func TestIdentityFallbackStillAnswersCorrectly(t *testing.T) {
 	// residual and the mechanism must be unbiased.
 	recon := mat.Mul(d.B, d.L)
 	if !recon.EqualApprox(w.W, d.Residual+1e-6) {
-		t.Fatal("fallback decomposition does not reconstruct W")
+		t.Fatal("starved decomposition does not reconstruct W")
 	}
 	m, err := NewMechanism(d)
 	if err != nil {

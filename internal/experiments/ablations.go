@@ -18,33 +18,10 @@ func Ablations(cfg Config) ([]Row, error) {
 	m, n := cfg.defaultM(), cfg.defaultN()
 	s := sDefault(m, n)
 
-	type variant struct {
-		name string
-		opts core.Options
-	}
-	base := cfg.lrmOptions()
-	withBase := func(mod func(*core.Options)) core.Options {
-		o := base
-		mod(&o)
-		return o
-	}
-	variants := []variant{
-		{"nesterov", base},
-		{"plain-pg", withBase(func(o *core.Options) { o.Solver = core.SolverProjectedGradient })},
-		{"beta-adaptive", base},
-		{"beta-fixed10", withBase(func(o *core.Options) { o.BetaDoubleEvery = 10 })},
-		{"beta-frozen", withBase(func(o *core.Options) { o.BetaDoubleEvery = -1 })},
-		{"restarts-1", base},
-		{"restarts-4", withBase(func(o *core.Options) { o.Restarts = 4 })},
-		{"fallback-on", withBase(func(o *core.Options) { o.IdentityFallback = true })},
-		{"init-exact-svd", base},
-		{"init-randomized", withBase(func(o *core.Options) { o.RandomizedInit = true })},
-	}
-
-	kinds := []string{"WRange", "WRelated"}
-	results := make([][]Row, len(kinds)*len(variants))
+	variants := ablationVariants(cfg.lrmOptions())
+	results := make([][]Row, len(ablationKinds)*len(variants))
 	var points []func() error
-	for ki, kind := range kinds {
+	for ki, kind := range ablationKinds {
 		w, err := buildWorkload(kind, m, n, s, rng.New(cfg.Seed+int64(ki)*41))
 		if err != nil {
 			return nil, err
@@ -72,6 +49,37 @@ func Ablations(cfg Config) ([]Row, error) {
 		return nil, err
 	}
 	return flatten(results), nil
+}
+
+// ablationKinds are the workload families every ablation variant runs on.
+var ablationKinds = []string{"WRange", "WRelated"}
+
+// ablationVariant is one row family of Ablations: a named optimizer
+// configuration.
+type ablationVariant struct {
+	name string
+	opts core.Options
+}
+
+// ablationVariants lists the optimizer configurations Ablations compares,
+// each derived from base by changing one knob.
+func ablationVariants(base core.Options) []ablationVariant {
+	withBase := func(mod func(*core.Options)) core.Options {
+		o := base
+		mod(&o)
+		return o
+	}
+	return []ablationVariant{
+		{"nesterov", base},
+		{"plain-pg", withBase(func(o *core.Options) { o.Solver = core.SolverProjectedGradient })},
+		{"beta-adaptive", base},
+		{"beta-fixed10", withBase(func(o *core.Options) { o.BetaDoubleEvery = 10 })},
+		{"beta-frozen", withBase(func(o *core.Options) { o.BetaDoubleEvery = -1 })},
+		{"restarts-1", base},
+		{"restarts-4", withBase(func(o *core.Options) { o.Restarts = 4 })},
+		{"init-exact-svd", base},
+		{"init-randomized", withBase(func(o *core.Options) { o.RandomizedInit = true })},
+	}
 }
 
 // AblationBaselineSSE returns the noise-on-data SSE for the ablation

@@ -185,8 +185,8 @@ func TestAblationsProduceRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 20 { // 2 workloads × 10 variants
-		t.Fatalf("got %d rows, want 20", len(rows))
+	if want := len(ablationKinds) * len(ablationVariants(cfg.lrmOptions())); len(rows) != want {
+		t.Fatalf("got %d rows, want %d", len(rows), want)
 	}
 	names := map[string]bool{}
 	for _, r := range rows {
@@ -195,22 +195,20 @@ func TestAblationsProduceRows(t *testing.T) {
 		}
 		names[r.Mechanism] = true
 	}
-	for _, want := range []string{"nesterov", "plain-pg", "beta-fixed10", "restarts-4", "fallback-on"} {
+	for _, want := range []string{"nesterov", "plain-pg", "beta-fixed10", "restarts-4"} {
 		if !names[want] {
 			t.Fatalf("missing variant %q", want)
 		}
 	}
-	// The identity-fallback variant must never exceed the NOD baseline.
+	// Decompose always considers the identity strategy, so no variant
+	// may exceed the NOD baseline.
 	for _, r := range rows {
-		if r.Mechanism != "fallback-on" {
-			continue
-		}
 		nod, err := AblationBaselineSSE(cfg, r.Workload)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if r.AvgSqErr > nod*(1+1e-9) {
-			t.Fatalf("%s fallback SSE %v exceeds NOD %v", r.Workload, r.AvgSqErr, nod)
+			t.Fatalf("%s %s SSE %v exceeds NOD %v", r.Workload, r.Mechanism, r.AvgSqErr, nod)
 		}
 	}
 }

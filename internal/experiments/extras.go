@@ -32,7 +32,6 @@ func Synopses(cfg Config) ([]Row, error) {
 		mechs []mechanism.Mechanism
 	}
 	lrmOpts := cfg.lrmOptions()
-	lrmOpts.IdentityFallback = true // identity workload has nothing to exploit
 	synopses := []mechanism.Mechanism{
 		mechanism.LaplaceData{},
 		mechanism.Fourier{K: n / 32},

@@ -6,7 +6,7 @@ import (
 	"strings"
 )
 
-// AliasGuard flags calls to the mat (and sparse) in-place kernels whose
+// AliasGuard flags calls to the mat in-place kernels whose
 // destination syntactically aliases an operand that the kernel forbids
 // aliasing. The kernels enforce the same rule at runtime with a
 // sharesStorage panic, but only on the execution paths a test happens to
@@ -49,8 +49,6 @@ var aliasKernels = map[string]aliasRule{
 	// Vector kernels: dst must not alias the input vector.
 	"lrm/internal/mat.MulVecTo":  {dst: 0, operands: []int{2}},
 	"lrm/internal/mat.MulVecTTo": {dst: 0, operands: []int{2}},
-	// sparse.CSR's dense product has the same contract as MulTo.
-	"(*lrm/internal/sparse.CSR).MulDenseTo": {dst: 0, operands: []int{1}},
 }
 
 func runAliasGuard(pass *Pass) error {

@@ -3,10 +3,7 @@
 // a forbidden operand.
 package bad
 
-import (
-	"lrm/internal/mat"
-	"lrm/internal/sparse"
-)
+import "lrm/internal/mat"
 
 type state struct {
 	work *mat.Dense
@@ -26,10 +23,6 @@ func fieldChain(s *state, b *mat.Dense) *mat.Dense {
 
 func vec(dst []float64, a *mat.Dense) []float64 {
 	return mat.MulVecTo(dst, a, dst) // want `destination dst aliases operand 2`
-}
-
-func sparseProduct(c *sparse.CSR, d *mat.Dense) *mat.Dense {
-	return c.MulDenseTo(d, d) // want `destination d aliases operand 1`
 }
 
 func solveAliasedSystem(b, lwork *mat.Dense) error {

@@ -41,12 +41,6 @@ func sharesStorage(a, b *Dense) bool {
 	return a0 < b0+uintptr(len(b.data))*w && b0 < a0+uintptr(len(a.data))*w
 }
 
-// SharesStorage reports whether two matrices' backing slices overlap
-// anywhere (not just at their first element). Exported for sibling
-// packages whose kernels must refuse aliased destinations the same way
-// this package's do (e.g. sparse.CSR.MulDenseTo).
-func SharesStorage(a, b *Dense) bool { return sharesStorage(a, b) }
-
 // noAlias panics when dst shares storage with the operand m.
 func noAlias(op string, dst, m *Dense) {
 	if sharesStorage(dst, m) {

@@ -8,13 +8,9 @@ import (
 
 // This file is the package's parallel scheduler: one persistent worker
 // pool, started lazily and sized to the machine, that every kernel in the
-// package (and, through ParallelFor, the coarse-grained consumers such as
-// internal/sparse's row-tiled CSR×dense product) draws from. Replacing
-// the old per-call fork/join (a sync.WaitGroup and fresh goroutines per
-// product) with long-lived workers removes per-product goroutine churn
-// from the ALM hot loop, and funneling every layer through one pool keeps
-// the coarse-grained tiles and the GEMM tiles from oversubscribing each
-// other.
+// package draws from. Replacing the old per-call fork/join (a
+// sync.WaitGroup and fresh goroutines per product) with long-lived
+// workers removes per-product goroutine churn from the ALM hot loop.
 //
 // Work is distributed as tiles claimed from an atomic counter: whichever
 // worker is free takes the next tile, so load-imbalanced grids (the
@@ -130,18 +126,6 @@ func forEachTile(tiles int, fn func(tile int)) {
 	}
 	t.run()
 	<-t.done
-}
-
-// ParallelFor runs fn(i) for i in [0,n) on the package's persistent
-// worker pool, returning when every call has finished. It is the entry
-// point for coarse-grained consumers (the engine's histogram batches, the
-// sparse row-parallel products): by drawing from the same pool as the
-// GEMM tiles, layered parallelism degrades gracefully instead of
-// oversubscribing the machine with competing goroutine fleets. Calls may
-// execute on any goroutine in any order; nested ParallelFor is safe (the
-// submitter always advances its own job).
-func ParallelFor(n int, fn func(i int)) {
-	forEachTile(n, fn)
 }
 
 // packFree is a global free-list of packing buffers for the GEMM layer.

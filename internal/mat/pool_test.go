@@ -78,9 +78,9 @@ func TestPoolMultiWorkerPath(t *testing.T) {
 
 	// Nested dispatch: a tile body that itself schedules on the pool.
 	done := make([]int, 8)
-	ParallelFor(8, func(i int) {
+	forEachTile(8, func(i int) {
 		inner := make([]int, 4)
-		ParallelFor(4, func(j int) { inner[j] = j + 1 })
+		forEachTile(4, func(j int) { inner[j] = j + 1 })
 		s := 0
 		for _, v := range inner {
 			s += v
@@ -89,7 +89,7 @@ func TestPoolMultiWorkerPath(t *testing.T) {
 	})
 	for i, v := range done {
 		if v != 10 {
-			t.Fatalf("nested ParallelFor: slot %d = %d, want 10", i, v)
+			t.Fatalf("nested forEachTile: slot %d = %d, want 10", i, v)
 		}
 	}
 }

@@ -11,8 +11,8 @@ import (
 // This file provides the standard differential-privacy mechanism toolbox
 // beyond the Laplace mechanism: the exponential mechanism of McSherry and
 // Talwar (used pervasively in the literature the paper builds on), the
-// geometric mechanism (integer-valued Laplace), the Gaussian mechanism
-// for (ε,δ)-DP, and advanced composition accounting.
+// geometric mechanism (integer-valued Laplace), and advanced composition
+// accounting.
 
 // ExponentialMechanism selects an index from scores under ε-DP: index i
 // is chosen with probability ∝ exp(ε·scores[i]/(2·sensitivity)), where
@@ -86,30 +86,6 @@ func GeometricMechanism(exact int64, sensitivity float64, eps Epsilon, src *rng.
 		j = 1
 	}
 	return exact + sign*j, nil
-}
-
-// GaussianMechanism adds N(0, σ²) noise calibrated for (ε,δ)-DP with the
-// classic analysis: σ = sensitivity·sqrt(2·ln(1.25/δ))/ε, valid for
-// ε ≤ 1. Included for completeness; the paper's mechanisms are pure ε-DP.
-func GaussianMechanism(exact []float64, l2Sensitivity float64, eps Epsilon, delta float64, src *rng.Source) ([]float64, error) {
-	if err := eps.Validate(); err != nil {
-		return nil, err
-	}
-	if eps > 1 {
-		return nil, fmt.Errorf("privacy: gaussian mechanism analysis requires eps <= 1, got %v", float64(eps))
-	}
-	if delta <= 0 || delta >= 1 {
-		return nil, fmt.Errorf("privacy: gaussian mechanism needs delta in (0,1), got %v", delta)
-	}
-	if l2Sensitivity < 0 {
-		return nil, fmt.Errorf("privacy: negative sensitivity %v", l2Sensitivity)
-	}
-	sigma := l2Sensitivity * math.Sqrt(2*math.Log(1.25/delta)) / float64(eps)
-	out := make([]float64, len(exact))
-	for i, v := range exact {
-		out[i] = v + src.Normal()*sigma
-	}
-	return out, nil
 }
 
 // AdvancedComposition returns the (ε', δ') guarantee of running k

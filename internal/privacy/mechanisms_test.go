@@ -113,42 +113,6 @@ func TestGeometricMechanismInteger(t *testing.T) {
 	}
 }
 
-func TestGaussianMechanismCalibration(t *testing.T) {
-	src := rng.New(7)
-	const (
-		eps   = 0.5
-		delta = 1e-5
-		sens  = 2.0
-	)
-	wantSigma := sens * math.Sqrt(2*math.Log(1.25/delta)) / eps
-	exact := make([]float64, 50_000)
-	noisy, err := GaussianMechanism(exact, sens, Epsilon(eps), delta, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sumSq float64
-	for _, v := range noisy {
-		sumSq += v * v
-	}
-	gotSigma := math.Sqrt(sumSq / float64(len(noisy)))
-	if math.Abs(gotSigma-wantSigma) > 0.05*wantSigma {
-		t.Fatalf("sigma = %v, want ~%v", gotSigma, wantSigma)
-	}
-}
-
-func TestGaussianMechanismErrors(t *testing.T) {
-	src := rng.New(8)
-	if _, err := GaussianMechanism([]float64{1}, 1, 2, 1e-5, src); err == nil {
-		t.Fatal("eps > 1 accepted")
-	}
-	if _, err := GaussianMechanism([]float64{1}, 1, 0.5, 0, src); err == nil {
-		t.Fatal("delta = 0 accepted")
-	}
-	if _, err := GaussianMechanism([]float64{1}, -1, 0.5, 1e-5, src); err == nil {
-		t.Fatal("negative sensitivity accepted")
-	}
-}
-
 func TestAdvancedCompositionBeatsBasic(t *testing.T) {
 	// For many small-ε mechanisms, advanced composition gives a smaller
 	// total ε than the basic k·ε bound.

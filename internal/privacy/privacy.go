@@ -200,25 +200,3 @@ func LaplaceExpectedSSE(m int, sensitivity float64, eps Epsilon) float64 {
 	s := sensitivity / float64(eps)
 	return 2 * float64(m) * s * s
 }
-
-// ComposeSequential returns the total ε consumed by releasing each of the
-// given mechanisms once on the same data (sequential composition).
-func ComposeSequential(epsilons ...Epsilon) Epsilon {
-	var sum Epsilon
-	for _, e := range epsilons {
-		sum += e
-	}
-	return sum
-}
-
-// ComposeParallel returns the ε consumed when mechanisms run on disjoint
-// partitions of the data: the maximum of the parts.
-func ComposeParallel(epsilons ...Epsilon) Epsilon {
-	var best Epsilon
-	for _, e := range epsilons {
-		if e > best {
-			best = e
-		}
-	}
-	return best
-}

@@ -152,12 +152,3 @@ func TestLaplaceMechanismDoesNotMutateInput(t *testing.T) {
 		t.Fatal("input mutated")
 	}
 }
-
-func TestComposition(t *testing.T) {
-	if got := ComposeSequential(0.1, 0.2, 0.3); math.Abs(float64(got)-0.6) > 1e-12 {
-		t.Fatalf("sequential = %v", float64(got))
-	}
-	if got := ComposeParallel(0.1, 0.5, 0.3); got != 0.5 {
-		t.Fatalf("parallel = %v", float64(got))
-	}
-}

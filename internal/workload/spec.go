@@ -33,7 +33,7 @@ type Spec interface {
 	AnswerTo(dst, x []float64) []float64
 	// GramMulTo computes the Gram-vector product (WᵀW)·x into dst and
 	// returns it; both slices have Domain() entries. It is the implicit
-	// handle iterative analyses (Lanczos, CGLS-style solvers) need, and
+	// handle iterative analyses (Lanczos, least-squares solvers) need, and
 	// never materializes WᵀW.
 	GramMulTo(dst, x []float64) []float64
 	// Sensitivity returns the L1 sensitivity Δ' = max_j Σᵢ|Wᵢⱼ|.
