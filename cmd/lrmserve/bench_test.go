@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -14,8 +15,9 @@ import (
 )
 
 // BenchmarkServeAnswer drives the POST /answer handler in process, from
-// request bytes to response bytes, with the 64×1024 workload.Related W
-// that the warm end-to-end workloads of bench/lrmload send inline:
+// request bytes to response bytes. Three cases send the 64×1024
+// workload.Related W that the warm end-to-end workloads of bench/lrmload
+// send inline:
 //
 //   - memo-hit: W already memoized, one histogram. Per request: a
 //     bracket scan of W's text and one SHA-256 (no grammar check), the
@@ -25,6 +27,11 @@ import (
 //     W is validated, parsed and fingerprinted. The engine cache is
 //     warm, so this is the second-sighting miss.
 //   - memo-hit-B16: memo hit with 16 histograms.
+//
+// spec-B16 mirrors the spec-batch workload: no W on the wire, the
+// kron:prefix(32)xprefix(32) spec and 16 histograms of integer counts in
+// [0, 100]. Its response of 16×1024 answers (~300 KiB) is most of its
+// bytes, so the histogram parse and the response writer dominate it.
 //
 // MB/s is request bytes per second.
 func BenchmarkServeAnswer(b *testing.B) {
@@ -40,8 +47,13 @@ func BenchmarkServeAnswer(b *testing.B) {
 	}
 	hsrc := rng.New(2)
 	hists := make([][]float64, 16)
+	counts := make([][]float64, 16)
 	for i := range hists {
 		hists[i] = hsrc.UniformVec(w.Domain(), 0, 100)
+		counts[i] = make([]float64, w.Domain())
+		for j := range counts[i] {
+			counts[i][j] = math.Floor(hsrc.Float64() * 101)
+		}
 	}
 	memo := newWMemo()
 	h := newHandler(eng, handlerConfig{mech: "LRM", maxBody: 64 << 20, memo: memo})
@@ -53,15 +65,16 @@ func BenchmarkServeAnswer(b *testing.B) {
 		}
 	}
 	for _, bc := range []struct {
-		name  string
-		batch int
-		miss  bool
+		name string
+		req  wireRequest
+		miss bool
 	}{
-		{"memo-hit", 1, false},
-		{"first-sight", 1, true},
-		{"memo-hit-B16", 16, false},
+		{"memo-hit", wireRequest{Workload: rows, Histograms: hists[:1], Eps: 0.1}, false},
+		{"first-sight", wireRequest{Workload: rows, Histograms: hists[:1], Eps: 0.1}, true},
+		{"memo-hit-B16", wireRequest{Workload: rows, Histograms: hists, Eps: 0.1}, false},
+		{"spec-B16", wireRequest{Spec: "kron:prefix(32)xprefix(32)", Histograms: counts, Eps: 0.1}, false},
 	} {
-		body, err := json.Marshal(wireRequest{Workload: rows, Histograms: hists[:bc.batch], Eps: 0.1})
+		body, err := json.Marshal(bc.req)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -82,4 +95,42 @@ func BenchmarkServeAnswer(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkServeAnswerEncode compares the /answer response writer with
+// the json.Marshal call it replaced on a spec-batch-shaped answer set:
+// 16 rows of 1024 noisy counts. MB/s is response bytes per second.
+func BenchmarkServeAnswerEncode(b *testing.B) {
+	src := rng.New(3)
+	answers := make([][]float64, 16)
+	for i := range answers {
+		answers[i] = make([]float64, 1024)
+		for j := range answers[i] {
+			answers[i][j] = math.Floor(src.Float64()*101)*float64(j%32+1) + src.Laplace(40)
+		}
+	}
+	const fp = "spec-0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef"
+	buf := make([]byte, 0, answerResponseBound(answers, fp))
+	b.Run("writer", func(b *testing.B) {
+		out, _ := appendAnswerResponse(buf[:0], answers, fp)
+		b.SetBytes(int64(len(out)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := appendAnswerResponse(buf[:0], answers, fp); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("json.Marshal", func(b *testing.B) {
+		out, _ := appendAnswerResponse(buf[:0], answers, fp)
+		b.SetBytes(int64(len(out)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			body, err := json.Marshal(answerResponse{Answers: answers, Fingerprint: fp})
+			if err != nil {
+				b.Fatal(err)
+			}
+			_ = append(body, '\n')
+		}
+	})
 }

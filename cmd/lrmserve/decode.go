@@ -64,8 +64,10 @@ const (
 //   - a repeated key takes its last value;
 //   - null clears "workload" and "histograms" and leaves the other
 //     fields unchanged;
-//   - numbers follow the JSON grammar and parse with strconv, so an
-//     out-of-range number (1e400) or a non-integer seed is rejected;
+//   - numbers follow the JSON grammar and parse as strconv parses them,
+//     so an out-of-range number (1e400) or a non-integer seed is
+//     rejected; a matrix entry that is an optional '-' and at most 15
+//     digits is read as an exact integer (parseNumber);
 //   - strings are unescaped as encoding/json does, with invalid UTF-8
 //     and unpaired surrogates replaced by U+FFFD.
 //
@@ -522,7 +524,7 @@ func parseFloats(span []byte, flat []float64, rows [][]float64) error {
 			}
 		case c == '-' || '0' <= c && c <= '9':
 			end := numberEnd(span, i)
-			v, err := strconv.ParseFloat(string(span[i:end]), 64)
+			v, err := parseNumber(span[i:end])
 			if err != nil {
 				return fmt.Errorf("number %s out of range", span[i:end])
 			}
@@ -534,6 +536,32 @@ func parseFloats(span []byte, flat []float64, rows [][]float64) error {
 		}
 	}
 	return nil
+}
+
+// parseNumber parses a JSON number token as strconv.ParseFloat does. A
+// token that is an optional '-' and at most 15 digits is an integer below
+// 10^15 < 2^53, which float64 holds exactly, so it is read here without
+// strconv: histograms are counts, and most entries take this path.
+func parseNumber(tok []byte) (float64, error) {
+	digits := tok
+	if len(digits) > 0 && digits[0] == '-' {
+		digits = digits[1:]
+	}
+	if len(digits) == 0 || len(digits) > 15 {
+		return strconv.ParseFloat(string(tok), 64)
+	}
+	var n uint64
+	for _, c := range digits {
+		if c-'0' >= 10 {
+			return strconv.ParseFloat(string(tok), 64)
+		}
+		n = 10*n + uint64(c-'0')
+	}
+	v := float64(n)
+	if len(digits) < len(tok) {
+		v = -v // -0 too, as strconv gives it
+	}
+	return v, nil
 }
 
 // str decodes the JSON string at the cursor (which is '"') and advances

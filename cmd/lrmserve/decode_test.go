@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
 	"testing"
 )
 
@@ -105,6 +106,56 @@ func checkDecode(t *testing.T, body []byte) {
 	checkSameBody(t, body, "encoding/json", got, gotW, answerBody{
 		Spec: want.Spec, Histograms: want.Histograms, Eps: want.Eps, Budget: want.Budget, Seed: want.Seed, Tenant: want.Tenant,
 	}, want.Workload)
+	checkHistogramBits(t, body, got.Histograms)
+}
+
+// checkHistogramBits holds every decoded histogram value to
+// strconv.ParseFloat of its token, bit for bit, whether parseNumber read
+// it as an integer or handed it to strconv. encoding/json finds the
+// tokens of the "histograms" value that won.
+func checkHistogramBits(t *testing.T, body []byte, hists [][]float64) {
+	t.Helper()
+	var ref struct {
+		Histograms [][]json.Number `json:"histograms"`
+	}
+	if err := json.NewDecoder(bytes.NewReader(body)).Decode(&ref); err != nil {
+		t.Fatalf("%q: encoding/json cannot find the histogram tokens: %v", body, err)
+	}
+	if len(ref.Histograms) != len(hists) {
+		t.Fatalf("%q: %d histograms, encoding/json finds %d", body, len(hists), len(ref.Histograms))
+	}
+	for i, row := range ref.Histograms {
+		if len(row) != len(hists[i]) {
+			t.Fatalf("%q: histogram %d has %d entries, encoding/json finds %d", body, i, len(hists[i]), len(row))
+		}
+		for j, tok := range row {
+			want, err := strconv.ParseFloat(string(tok), 64)
+			if err != nil || math.Float64bits(hists[i][j]) != math.Float64bits(want) {
+				t.Fatalf("%q: histogram %d entry %d is %v, strconv.ParseFloat(%s) = %v, %v", body, i, j, hists[i][j], tok, want, err)
+			}
+		}
+	}
+}
+
+// TestParseNumber pins parseNumber's integer fast path and its edges
+// against strconv.ParseFloat, bit for bit: -0 must stay negative, and a
+// 16-digit integer is past the fast path's exact range.
+func TestParseNumber(t *testing.T) {
+	for _, tok := range []string{
+		"0", "-0", "7", "-7", "000123", "999999999999999", "-999999999999999",
+		"9007199254740993", "-9007199254740993", "1234567890123456789012",
+		"1.5", "-0.0", "1e3", "1E-400", "1e400", "", "-", "--1", "1-", "1.",
+	} {
+		got, err := parseNumber([]byte(tok))
+		want, wantErr := strconv.ParseFloat(tok, 64)
+		if (err == nil) != (wantErr == nil) || math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("parseNumber(%q) = %v (%#x), %v; strconv.ParseFloat = %v (%#x), %v",
+				tok, got, math.Float64bits(got), err, want, math.Float64bits(want), wantErr)
+		}
+	}
+	if v, _ := parseNumber([]byte("-0")); !math.Signbit(v) {
+		t.Fatal("parseNumber(-0) lost the sign")
+	}
 }
 
 // checkSameBody compares two decodes of body bit for bit.
@@ -191,7 +242,8 @@ func checkMemoHit(t *testing.T, body []byte, plain answerBody, plainW [][]float6
 // FuzzDecodeAnswer is the differential fuzz of decodeAnswer against
 // encoding/json: both must accept the same bodies — except for the
 // listed deviations, which may only reject — and decode accepted ones to
-// bit-identical fields. Each body is also decoded with its workload text
+// bit-identical fields, every histogram value to the bits
+// strconv.ParseFloat gives its token (checkHistogramBits). Each body is also decoded with its workload text
 // memoized, which must change nothing but serve W from the memo
 // (checkMemoHit). The checked-in corpus under testdata/fuzz covers
 // the grammar's corners; run the fuzzer with

@@ -79,6 +79,13 @@
 //	    arrives (from its second sighting on); the memo holds at most 16
 //	    matrices and 256 MiB of them, and GET /stats reports its entries,
 //	    hits and misses.
+//
+//	    The 200 response is written by writeAnswer (encode.go), not by
+//	    encoding/json: its bytes are those of json.Marshal and a newline,
+//	    appended into a pooled buffer sized from the batch. Floats take
+//	    encoding/json's shortest round-trip form, formatted by Ryu in
+//	    the 'f' range [1e-6, 1e21) and by strconv outside it. A
+//	    non-finite answer is a 500 with encoding/json's error.
 //	GET /stats
 //	    Engine counter snapshot (cache hits/misses, prepares, planned,
 //	    evictions, disk traffic, requests, answers) plus the serving
@@ -268,7 +275,8 @@ func parseTenantEps(s string) (def privacy.Epsilon, totals map[string]privacy.Ep
 	return def, totals, nil
 }
 
-// answerResponse is the POST /answer JSON response.
+// answerResponse is the POST /answer JSON response. writeAnswer writes
+// the bytes json.Marshal gives it without building one.
 type answerResponse struct {
 	Answers     [][]float64 `json:"answers"`
 	Fingerprint string      `json:"fingerprint"`
@@ -395,7 +403,7 @@ func newHandler(eng *engine.Engine, cfg handlerConfig) http.Handler {
 			httpRequestError(w, cfg, err)
 			return
 		}
-		writeJSON(w, answerResponse{Answers: answers, Fingerprint: fp})
+		writeAnswer(w, answers, fp)
 	})
 	mux.HandleFunc("/stats", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
@@ -492,7 +500,7 @@ func decodeRequest(w http.ResponseWriter, r *http.Request, eng *engine.Engine, m
 	// Nothing decoded below aliases the buffer once this returns: strings
 	// and numbers are copied out, and the workload text is only hashed
 	// and parsed.
-	defer putBody(buf)
+	defer putBuffer(&bodyPool, buf)
 	var mbe *http.MaxBytesError
 	if errors.As(err, &mbe) {
 		return answerRequest{}, http.StatusRequestEntityTooLarge, fmt.Errorf("request body larger than %d bytes", mbe.Limit)
@@ -544,12 +552,13 @@ func decodeRequest(w http.ResponseWriter, r *http.Request, eng *engine.Engine, m
 // that much garbage behind.
 var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// maxPooledBody caps the buffers bodyPool keeps, so one huge request
-// does not pin its buffer for the life of the process.
+// maxPooledBody caps the buffers bodyPool and respPool keep, so one
+// huge request or response does not pin its buffer for the life of the
+// process.
 const maxPooledBody = 8 << 20
 
 // readBody reads the whole request body, at most limit bytes, into a
-// pooled buffer sized from Content-Length. Release it with putBody.
+// pooled buffer sized from Content-Length. Release it with putBuffer.
 func readBody(w http.ResponseWriter, r *http.Request, limit int64) (*bytes.Buffer, error) {
 	buf := bodyPool.Get().(*bytes.Buffer)
 	buf.Reset()
@@ -563,15 +572,17 @@ func readBody(w http.ResponseWriter, r *http.Request, limit int64) (*bytes.Buffe
 	return buf, err
 }
 
-func putBody(buf *bytes.Buffer) {
+// putBuffer returns buf to pool unless it grew past maxPooledBody.
+func putBuffer(pool *sync.Pool, buf *bytes.Buffer) {
 	if buf.Cap() <= maxPooledBody {
-		bodyPool.Put(buf)
+		pool.Put(buf)
 	}
 }
 
-// writeJSON encodes into a buffer before touching the ResponseWriter, so
-// an encode failure (e.g. ±Inf answers, which encoding/json rejects) can
-// still become a 500 instead of a 200 with an empty body.
+// writeJSON writes the GET /stats response (POST /answer has its own
+// writer, writeAnswer). It encodes into a buffer before touching the
+// ResponseWriter, so an encode failure can still become a 500 instead of
+// a 200 with an empty body.
 //
 //lrm:sink — v is serialized onto the wire
 func writeJSON(w http.ResponseWriter, v any) {
