@@ -15,17 +15,22 @@ import (
 )
 
 // BenchmarkServeAnswer drives the POST /answer handler in process, from
-// request bytes to response bytes. Three cases send the 64×1024
+// request bytes to response bytes. Four cases send the 64×1024
 // workload.Related W that the warm end-to-end workloads of bench/lrmload
 // send inline:
 //
-//   - memo-hit: W already memoized, one histogram. Per request: a
-//     bracket scan of W's text and one SHA-256 (no grammar check), the
-//     histogram parse, the warm engine answer, and the response encode.
+//   - memo-hit: W already memoized, one histogram. Per request: one
+//     byte comparison of W's text against the memoized text (no grammar
+//     check, no hash), the histogram parse, the warm engine answer by
+//     fingerprint, and the response encode.
 //   - first-sight: the same request, but W's text is new to the memo
-//     (reset every iteration), so after the bracket scan and the SHA-256
-//     W is validated, parsed and fingerprinted. The engine cache is
-//     warm, so this is the second-sighting miss.
+//     (emptied every iteration), so W is validated, parsed and
+//     fingerprinted, and its text copied into the memo. The engine cache
+//     is warm, so this is the second-sighting miss.
+//   - memo-worst: first-sight against a full memo of memoEntries texts
+//     (restored every iteration) that each equal W's text up to its last
+//     entry, so each comparison runs to the last row before it fails.
+//     Its cost over first-sight bounds what a miss pays for the lookup.
 //   - memo-hit-B16: memo hit with 16 histograms.
 //
 // spec-B16 mirrors the spec-batch workload: no W on the wire, the
@@ -64,15 +69,30 @@ func BenchmarkServeAnswer(b *testing.B) {
 			b.Fatalf("status %d: %s", rec.Code, rec.Body)
 		}
 	}
+	// near are the memo-worst texts: W's text with its last entry
+	// replaced by 16 other values.
+	var near []*memoEntry
+	for k := 0; k < memoEntries; k++ {
+		v := append([][]float64(nil), rows...)
+		last := append([]float64(nil), rows[len(rows)-1]...)
+		last[len(last)-1] += float64(k + 1)
+		v[len(v)-1] = last
+		text, err := json.Marshal(v)
+		if err != nil {
+			b.Fatal(err)
+		}
+		near = append(near, &memoEntry{text: text, rows: len(v), cols: len(last), fp: "near"})
+	}
 	for _, bc := range []struct {
 		name string
 		req  wireRequest
-		miss bool
+		memo []*memoEntry // restored before every iteration when non-nil
 	}{
-		{"memo-hit", wireRequest{Workload: rows, Histograms: hists[:1], Eps: 0.1}, false},
-		{"first-sight", wireRequest{Workload: rows, Histograms: hists[:1], Eps: 0.1}, true},
-		{"memo-hit-B16", wireRequest{Workload: rows, Histograms: hists, Eps: 0.1}, false},
-		{"spec-B16", wireRequest{Spec: "kron:prefix(32)xprefix(32)", Histograms: counts, Eps: 0.1}, false},
+		{"memo-hit", wireRequest{Workload: rows, Histograms: hists[:1], Eps: 0.1}, nil},
+		{"first-sight", wireRequest{Workload: rows, Histograms: hists[:1], Eps: 0.1}, []*memoEntry{}},
+		{"memo-worst", wireRequest{Workload: rows, Histograms: hists[:1], Eps: 0.1}, near},
+		{"memo-hit-B16", wireRequest{Workload: rows, Histograms: hists, Eps: 0.1}, nil},
+		{"spec-B16", wireRequest{Spec: "kron:prefix(32)xprefix(32)", Histograms: counts, Eps: 0.1}, nil},
 	} {
 		body, err := json.Marshal(bc.req)
 		if err != nil {
@@ -85,10 +105,13 @@ func BenchmarkServeAnswer(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if bc.miss {
+				if bc.memo != nil {
 					memo.mu.Lock()
-					clear(memo.m)
+					memo.entries = append(memo.entries[:0], bc.memo...)
 					memo.bytes = 0
+					for _, e := range bc.memo {
+						memo.bytes += len(e.text)
+					}
 					memo.mu.Unlock()
 				}
 				serve(b, body)

@@ -61,8 +61,8 @@ type coalesceWaiter struct {
 // coalesceGroup is one open window of mergeable requests.
 type coalesceGroup struct {
 	key     coalesceKey
-	wl      *workload.Workload
-	rows    int // histograms pledged so far, for the size trigger
+	wl      *workload.Workload // nil while every waiter is a memo hit
+	rows    int                // histograms pledged so far, for the size trigger
 	waiters []*coalesceWaiter
 	timer   *time.Timer
 }
@@ -92,9 +92,11 @@ func newCoalescer(eng *engine.Engine, window time.Duration, max int) *coalescer 
 // flush, and returns this request's rows. The caller must have validated
 // histogram lengths against the workload domain: inside a merged batch a
 // malformed histogram would fail the whole group, not just its sender.
-// A nil ctx means context.Background(). If ctx ends before the flush,
-// submit returns its error immediately; the flush later prunes the
-// abandoned waiter without charging for it.
+// A nil wl names the workload by fp alone (a warm-W memo hit); if no
+// waiter brings W and the engine no longer holds it, every waiter gets
+// engine.ErrNotResident. A nil ctx means context.Background(). If ctx
+// ends before the flush, submit returns its error immediately; the
+// flush later prunes the abandoned waiter without charging for it.
 func (c *coalescer) submit(ctx context.Context, wl *workload.Workload, fp string, hists [][]float64, eps float64, tenant string) ([][]float64, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -108,6 +110,9 @@ func (c *coalescer) submit(ctx context.Context, wl *workload.Workload, fp string
 		g = &coalesceGroup{key: key, wl: wl}
 		c.groups[key] = g
 		g.timer = time.AfterFunc(c.window, func() { c.flush(g) })
+	}
+	if g.wl == nil {
+		g.wl = wl
 	}
 	g.rows += len(hists)
 	g.waiters = append(g.waiters, w)

@@ -13,6 +13,8 @@ import (
 	"lrm/internal/mechanism"
 )
 
+// newCoalescingServer starts a coalescing server with -audit-seeds on,
+// so tests can send seeded requests that bypass the window.
 func newCoalescingServer(t *testing.T, window time.Duration, max int) (*httptest.Server, *engine.Engine) {
 	t.Helper()
 	eng, err := engine.New(engine.Options{
@@ -21,7 +23,7 @@ func newCoalescingServer(t *testing.T, window time.Duration, max int) (*httptest
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(newHandler(eng, handlerConfig{mech: "LRM", maxBody: 1 << 20, co: newCoalescer(eng, window, max)}))
+	srv := httptest.NewServer(newHandler(eng, handlerConfig{mech: "LRM", maxBody: 1 << 20, co: newCoalescer(eng, window, max), auditSeeds: true}))
 	t.Cleanup(func() {
 		srv.Close()
 		eng.Close()

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"errors"
 	"fmt"
 	"strconv"
@@ -14,9 +13,9 @@ import (
 )
 
 // answerBody is a decoded POST /answer body. The workload matrix stays
-// as the exact JSON text of its value, with its SHA-256 and, when the
-// warm-W memo holds that text, the memo entry: the handler parses the
-// text (parseFloats) only on a memo miss.
+// as the exact JSON text of its value and, when the warm-W memo holds
+// that text, the memo entry: the handler parses the text (parseFloats)
+// only on a memo miss.
 type answerBody struct {
 	// Workload is the text of the "workload" value; its span is nil when
 	// the key is absent, null, or [].
@@ -80,10 +79,10 @@ const (
 //     "histograms". encoding/json stores nothing for it, which leaves a
 //     zero, or for a repeated key the previous value's entry.
 //
-// The "workload" value is looked up in memo (see decoder.workload): a
-// text the memo holds is taken from it without a grammar scan. Every
-// text the memo holds passed this decoder, so a hit decodes the body
-// exactly as a miss would.
+// At the "workload" value the decoder looks for a memoized text at the
+// cursor (see decoder.workload): a text the memo holds is skipped
+// without a grammar scan. Every text the memo holds passed this decoder,
+// so a hit decodes the body exactly as a miss would.
 //
 // FuzzDecodeAnswer holds the decoder to this contract, with and without
 // a memo hit.
@@ -131,9 +130,8 @@ type matrixText struct {
 	span        []byte
 	rows, total int
 	ragged      int // first row whose length differs from row 0's, or -1
-	// key is SHA-256 over span, set on a "workload" value; hit is the
-	// memo entry under key, or nil on a memo miss.
-	key [sha256.Size]byte
+	// hit is the memo entry whose text equals span, or nil on a memo
+	// miss.
 	hit *memoEntry
 }
 
@@ -296,62 +294,19 @@ func (d *decoder) number(name string) ([]byte, error) {
 	return d.b[start:end], nil
 }
 
-// workload decodes the "workload" value at the cursor and looks it up in
-// the memo. A warm text costs one bracket scan and one SHA-256: the
-// bracket scan finds where an array of arrays would end, and when the
-// memo holds that text the value is taken from the memo entry. Every
-// memo key is the SHA-256 of a text that passed d.matrix and build, and
-// a valid JSON value is prefix-free, so a full scan from the same offset
-// would have ended at the same byte. On a memo miss d.matrix validates
-// the value as before. Any matrix it accepts ends where the bracket scan
-// did, so the candidate's SHA-256 is the key of the validated text and a
-// request hashes its W once.
+// workload decodes the "workload" value at the cursor. When the body at
+// the cursor starts with a text the memo holds, the value is that text:
+// every memoized text passed d.matrix and build, and a JSON array is
+// prefix-free, so d.matrix from the cursor would have stopped at the
+// same byte. A hit costs one byte comparison per memo entry and no
+// grammar scan. On a miss d.matrix validates the value.
 func (d *decoder) workload() (matrixText, error) {
-	start := d.i
-	end := bracketEnd(d.b, start)
-	var key [sha256.Size]byte
-	if end >= 0 {
-		key = sha256.Sum256(d.b[start:end])
-		if e := d.memo.lookup(key); e != nil {
-			d.i = end
-			return matrixText{span: d.b[start:end], rows: e.wl.W.Rows(), total: len(e.wl.W.RawData()), ragged: -1, key: key, hit: e}, nil
-		}
+	if e := d.memo.lookup(d.b[d.i:]); e != nil {
+		start := d.i
+		d.i += len(e.text)
+		return matrixText{span: d.b[start:d.i], rows: e.rows, total: e.rows * e.cols, ragged: -1, hit: e}, nil
 	}
-	w, err := d.matrix("workload")
-	w.key = key
-	return w, err
-}
-
-// bracketEnd returns the end of the array of arrays starting at b[i],
-// found by brackets and whitespace alone: an outer '[', then per row a
-// '[', the next ']', and a ',' or the closing ']' (or an empty '[ ]').
-// It returns -1 at any other byte. The span it delimits is a candidate only: nothing inside a
-// row is checked. A row d.matrix accepts holds numbers, commas and
-// whitespace only, so for every matrix d.matrix accepts bracketEnd ends
-// at the same byte.
-func bracketEnd(b []byte, i int) int {
-	if i >= len(b) || b[i] != '[' {
-		return -1
-	}
-	i = skipSpace(b, i+1)
-	if i < len(b) && b[i] == ']' {
-		return i + 1
-	}
-	for i < len(b) && b[i] == '[' {
-		j := bytes.IndexByte(b[i:], ']')
-		if j < 0 {
-			return -1
-		}
-		i = skipSpace(b, i+j+1)
-		if i < len(b) && b[i] == ']' {
-			return i + 1
-		}
-		if i >= len(b) || b[i] != ',' {
-			return -1
-		}
-		i = skipSpace(b, i+1)
-	}
-	return -1
+	return d.matrix("workload")
 }
 
 // numberEnd returns the end of the JSON number starting at b[i], or -1

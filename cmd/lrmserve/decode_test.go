@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -42,13 +41,17 @@ var decodeDeviations = []error{errTrailingData, errNullElement}
 
 // decodeFull runs decodeAnswer with memo and, when it accepts, resolves
 // the workload through the memo without admitting anything: a memo hit
-// returns the memoized matrix, a miss builds it.
+// parses the memoized text, as the handler does when the engine no
+// longer holds W, and a miss builds the decoded text.
 func decodeFull(body []byte, memo *wMemo) (answerBody, [][]float64, error) {
 	a, err := decodeAnswer(body, memo)
 	if err != nil || a.Workload.span == nil {
 		return a, nil, err
 	}
 	wl, _, err := memo.workload(a.Workload, func(string) bool { return false })
+	if err == nil && wl == nil {
+		wl, err = a.Workload.hit.build()
+	}
 	if err != nil {
 		return answerBody{}, nil, err
 	}
@@ -79,15 +82,10 @@ func sameFloats(a, b [][]float64) bool {
 }
 
 // checkDecode holds decodeAnswer to referenceDecode on one body, then
-// holds a decode with a memo hit to the plain decode (checkMemoHit). An
-// accepted workload's memo key must be SHA-256 over its text: the one
-// hash the decoder took of the bracket-scanned candidate.
+// holds a decode with a memo hit to the plain decode (checkMemoHit).
 func checkDecode(t *testing.T, body []byte) {
 	t.Helper()
 	got, gotW, gotErr := decodeFull(body, newWMemo())
-	if w := got.Workload; gotErr == nil && w.span != nil && w.key != sha256.Sum256(w.span) {
-		t.Fatalf("%q: the workload's memo key is not SHA-256 over its text %q", body, w.span)
-	}
 	checkMemoHit(t, body, got, gotW, gotErr)
 	want, wantErr := referenceDecode(body)
 	switch {
@@ -177,12 +175,12 @@ func checkSameBody(t *testing.T, body []byte, ref string, got answerBody, gotW [
 }
 
 // checkMemoHit decodes body again with a memo primed with its workload
-// texts: the value that won the plain decode, and the bracket-delimited
-// candidate after each key the decoder reads as "workload" that is a
-// valid workload on its own (so a body the plain decode rejects can still reach a hit). The
-// hit path must accept and reject what the plain decode does, with the
-// same error, decode accepted bodies to bit-identical fields, and serve
-// the winning workload as a memo hit.
+// texts: the value that won the plain decode, and the matrix text after
+// each key the decoder reads as "workload" that is a valid workload on
+// its own (so a body the plain decode rejects can still reach a hit).
+// The hit path must accept and reject what the plain decode does, with
+// the same error, decode accepted bodies to bit-identical fields, and
+// serve the winning workload as a memo hit.
 func checkMemoHit(t *testing.T, body []byte, plain answerBody, plainW [][]float64, plainErr error) {
 	t.Helper()
 	memo := newWMemo()
@@ -203,8 +201,8 @@ func checkMemoHit(t *testing.T, body []byte, plain answerBody, plainW [][]float6
 		}
 		d.i++
 		d.ws()
-		if end := bracketEnd(body, d.i); end >= 0 {
-			texts = append(texts, body[d.i:end])
+		if m, err := d.matrix("workload"); err == nil {
+			texts = append(texts, m.span)
 		}
 	}
 	texts = append(texts, plain.Workload.span)

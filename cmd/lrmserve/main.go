@@ -16,6 +16,7 @@
 //	                                         # durable per-tenant ε accounting (see below)
 //	lrmserve -max-inflight 8 -queue 16 -deadline 5s
 //	                                         # bounded admission + per-request deadlines
+//	lrmserve -audit-seeds                    # accept "seed" on the wire (debug/audit only)
 //
 // Per-tenant ε accounting (-tenant-eps): each item is tenant=ε, or a
 // bare ε that becomes the default cap for tenants not listed. Requests
@@ -51,10 +52,10 @@
 //	          "histograms": [[...], ...],   // one or more length-n databases
 //	          "eps":        0.5,            // per-histogram release budget
 //	          "budget":     1.0,            // optional total ε cap for the request
-//	          "seed":       7               // optional: pins the request's one noise stream,
-//	                                        // drawn histogram by histogram in order (debug/
-//	                                        // audit only — omit in production; known seeds
-//	                                        // are subtractable)
+//	          "seed":       7               // only with -audit-seeds: pins the request's one
+//	                                        // noise stream, drawn histogram by histogram in
+//	                                        // order; without the flag a non-zero seed is a
+//	                                        // 400 (a known seed makes the noise subtractable)
 //	        }
 //	    Response body: {"answers": [[...], ...], "fingerprint": "..."}
 //	    Exactly one of "workload" and "spec" must be set. A spec names the
@@ -72,13 +73,14 @@
 //	    repeated key winning, null leaving a number or string unchanged),
 //	    except that it rejects bytes after the object and null inside the
 //	    numeric arrays. A repeated inline workload is served from the
-//	    warm-W memo: the decoder finds the "workload" value by its
-//	    brackets and looks up SHA-256 over its exact bytes, so a warm
-//	    request skips validating, parsing and fingerprinting W. A W is
-//	    memoized when its fingerprint is already prepared as its request
-//	    arrives (from its second sighting on); the memo holds at most 16
-//	    matrices and 256 MiB of them, and GET /stats reports its entries,
-//	    hits and misses.
+//	    warm-W memo: when the body at the "workload" value starts with
+//	    the exact text of a memoized value, the decoder skips that text,
+//	    and the engine answers the memoized fingerprint without W, so a
+//	    warm request skips validating, parsing, hashing and
+//	    fingerprinting W. A W is memoized when its fingerprint is already
+//	    prepared as its request arrives (from its second sighting on);
+//	    the memo holds at most 16 texts and 256 MiB of them, and GET
+//	    /stats reports its entries, bytes, hits and misses.
 //
 //	    The 200 response is written by writeAnswer (encode.go), not by
 //	    encoding/json: its bytes are those of json.Marshal and a newline,
@@ -141,6 +143,7 @@ func main() {
 		queueLen    = flag.Int("queue", 0, "max answer requests waiting behind -max-inflight before 429 (0 = 2×max-inflight)")
 		retryAfter  = flag.Duration("retry-after", time.Second, "Retry-After hint sent with 429 overload responses")
 		deadline    = flag.Duration("deadline", 0, "per-request deadline, propagated through the engine (0 = none)")
+		auditSeeds  = flag.Bool("audit-seeds", false, "accept a non-zero \"seed\" in /answer bodies, which pins the release's noise (debug/audit only: a known seed lets anyone subtract the noise)")
 	)
 	flag.Parse()
 
@@ -211,7 +214,7 @@ func main() {
 
 	srv := &http.Server{
 		Addr:              *addr,
-		Handler:           newHandler(eng, handlerConfig{mech: served, maxBody: *maxBody, co: co, adm: adm, deadline: *deadline}),
+		Handler:           newHandler(eng, handlerConfig{mech: served, maxBody: *maxBody, co: co, adm: adm, deadline: *deadline, auditSeeds: *auditSeeds}),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 
@@ -329,6 +332,9 @@ type handlerConfig struct {
 	adm      *admission    // nil = unbounded admission
 	deadline time.Duration // 0 = no per-request deadline
 	memo     *wMemo        // nil = a fresh warm-W memo
+	// auditSeeds accepts a non-zero "seed" on the wire (-audit-seeds);
+	// without it such a request is a 400.
+	auditSeeds bool
 }
 
 // newHandler builds the HTTP mux over an engine. Split from main so tests
@@ -343,12 +349,12 @@ func newHandler(eng *engine.Engine, cfg handlerConfig) http.Handler {
 			httpError(w, http.StatusMethodNotAllowed, "POST required")
 			return
 		}
-		req, status, err := decodeRequest(w, r, eng, cfg.maxBody, cfg.memo)
+		req, status, err := decodeRequest(w, r, eng, cfg)
 		if err != nil {
 			httpError(w, status, "%v", err)
 			return
 		}
-		wl, sp, fp := req.wl, req.sp, req.fp
+		sp, fp := req.sp, req.fp
 		tenant := req.Tenant
 		if tenant == "" && eng.Accountant() != nil {
 			tenant = "default"
@@ -376,18 +382,20 @@ func newHandler(eng *engine.Engine, cfg handlerConfig) http.Handler {
 			defer cfg.adm.release()
 		}
 
-		var answers [][]float64
-		if cfg.co != nil && sp == nil && req.Seed == 0 && req.Budget == 0 {
-			// Mergeable request: validate shapes first — inside a merged
-			// batch a malformed histogram would fail the whole group, not
-			// just its sender — then join the coalescing window.
-			if err := validateHistograms(req.Histograms, wl.Domain()); err != nil {
-				httpError(w, http.StatusBadRequest, "%v", err)
-				return
+		// answer sends the request to the engine with W as wl: nil on a
+		// memo hit, which names W by its fingerprint alone.
+		answer := func(wl *workload.Workload) ([][]float64, error) {
+			if cfg.co != nil && sp == nil && req.Seed == 0 && req.Budget == 0 {
+				// Mergeable request: validate shapes first — inside a
+				// merged batch a malformed histogram would fail the
+				// whole group, not just its sender — then join the
+				// coalescing window.
+				if err := validateHistograms(req.Histograms, req.domain()); err != nil {
+					return nil, err
+				}
+				return cfg.co.submit(ctx, wl, fp, req.Histograms, req.Eps, tenant)
 			}
-			answers, err = cfg.co.submit(ctx, wl, fp, req.Histograms, req.Eps, tenant)
-		} else {
-			answers, err = eng.Answer(engine.Request{
+			return eng.Answer(engine.Request{
 				Context:     ctx,
 				Workload:    wl,
 				Spec:        sp,
@@ -398,6 +406,15 @@ func newHandler(eng *engine.Engine, cfg handlerConfig) http.Handler {
 				Tenant:      tenant,
 				Fingerprint: fp,
 			})
+		}
+		answers, err := answer(req.wl)
+		if errors.Is(err, engine.ErrNotResident) && req.hit != nil {
+			// The engine evicted the memo hit's preparation: parse the
+			// memoized text and send the request again with W.
+			var wl *workload.Workload
+			if wl, err = req.hit.build(); err == nil {
+				answers, err = answer(wl)
+			}
 		}
 		if err != nil {
 			httpRequestError(w, cfg, err)
@@ -483,23 +500,33 @@ func validateHistograms(hists [][]float64, domain int) error {
 }
 
 // answerRequest is a decoded, resolved POST /answer request: the body's
-// fields plus the queries they name — a dense workload or an implicit
-// spec — and the fingerprint the engine caches them under.
+// fields plus the queries they name — a dense workload, the warm-W memo
+// entry that stands in for one, or an implicit spec — and the
+// fingerprint the engine caches them under.
 type answerRequest struct {
 	answerBody
-	wl *workload.Workload
-	sp workload.Spec
-	fp string
+	wl  *workload.Workload // nil on a memo hit
+	hit *memoEntry         // the memo entry of a hit
+	sp  workload.Spec
+	fp  string
+}
+
+// domain is the histogram length of a dense request's W.
+func (r *answerRequest) domain() int {
+	if r.wl != nil {
+		return r.wl.Domain()
+	}
+	return r.hit.cols
 }
 
 // decodeRequest reads and decodes the /answer body and resolves its
 // queries. On failure it returns the HTTP status to answer with: 413 for
-// a body over maxBody, 400 for anything else.
-func decodeRequest(w http.ResponseWriter, r *http.Request, eng *engine.Engine, maxBody int64, memo *wMemo) (answerRequest, int, error) {
-	buf, err := readBody(w, r, maxBody)
+// a body over cfg.maxBody, 400 for anything else.
+func decodeRequest(w http.ResponseWriter, r *http.Request, eng *engine.Engine, cfg handlerConfig) (answerRequest, int, error) {
+	buf, err := readBody(w, r, cfg.maxBody)
 	// Nothing decoded below aliases the buffer once this returns: strings
-	// and numbers are copied out, and the workload text is only hashed
-	// and parsed.
+	// and numbers are copied out, and the workload text is parsed or, by
+	// the memo, copied.
 	defer putBuffer(&bodyPool, buf)
 	var mbe *http.MaxBytesError
 	if errors.As(err, &mbe) {
@@ -507,9 +534,14 @@ func decodeRequest(w http.ResponseWriter, r *http.Request, eng *engine.Engine, m
 	} else if err != nil {
 		return answerRequest{}, http.StatusBadRequest, fmt.Errorf("reading request body: %v", err)
 	}
-	body, err := decodeAnswer(buf.Bytes(), memo)
+	body, err := decodeAnswer(buf.Bytes(), cfg.memo)
 	if err != nil {
 		return answerRequest{}, http.StatusBadRequest, fmt.Errorf("bad request body: %v", err)
+	}
+	if body.Seed != 0 && !cfg.auditSeeds {
+		// Anyone who knows a release's seed can regenerate its noise and
+		// subtract it.
+		return answerRequest{}, http.StatusBadRequest, errors.New(`"seed" is accepted only by a server started with -audit-seeds`)
 	}
 	req := answerRequest{answerBody: body}
 	// Reject a hopeless privacy budget before any engine work: a zero,
@@ -539,9 +571,10 @@ func decodeRequest(w http.ResponseWriter, r *http.Request, eng *engine.Engine, m
 		// keying, the coalescer groups concurrent requests by it,
 		// admission control reads warmth from it, and the response
 		// echoes it so clients can correlate with /stats.
-		if req.wl, req.fp, err = memo.workload(req.Workload, eng.Warm); err != nil {
+		if req.wl, req.fp, err = cfg.memo.workload(req.Workload, eng.Warm); err != nil {
 			return answerRequest{}, http.StatusBadRequest, fmt.Errorf("bad request body: %v", err)
 		}
+		req.hit = req.Workload.hit
 	}
 	req.Workload = matrixText{} // its bytes go back to bodyPool
 	return req, 0, nil

@@ -45,6 +45,8 @@ func testWorkload(rows [][]float64) (*workload.Workload, error) {
 	return a.Workload.build()
 }
 
+// newTestServer starts a server with -audit-seeds on, so tests can pin
+// releases by seed.
 func newTestServer(t *testing.T) (*httptest.Server, *engine.Engine) {
 	t.Helper()
 	eng, err := engine.New(engine.Options{
@@ -53,7 +55,7 @@ func newTestServer(t *testing.T) (*httptest.Server, *engine.Engine) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(newHandler(eng, handlerConfig{mech: "LRM", maxBody: 1 << 20}))
+	srv := httptest.NewServer(newHandler(eng, handlerConfig{mech: "LRM", maxBody: 1 << 20, auditSeeds: true}))
 	t.Cleanup(func() {
 		srv.Close()
 		eng.Close()
@@ -115,6 +117,46 @@ func TestServeAnswer(t *testing.T) {
 	}
 	if st := eng.Stats(); st.Prepares != 1 || st.Hits < 1 {
 		t.Fatalf("stats = %+v, want one prepare and a cache hit", st)
+	}
+}
+
+// TestServeSeedNeedsAuditFlag: a wire seed lets anyone who knows it
+// subtract the noise, so without -audit-seeds a non-zero "seed" is a 400
+// that reaches no engine work, while a zero or null seed is the default.
+// With the flag the seed pins the release.
+func TestServeSeedNeedsAuditFlag(t *testing.T) {
+	srv, eng, _ := memoServer(t)
+	w := `"workload":[[1,0,0],[1,1,0],[1,1,1]],"histograms":[[10,20,30]],"eps":0.5`
+	for _, body := range []string{`{` + w + `,"seed":7}`, `{` + w + `,"seed":-1}`, `{"SEED":7,` + w + `}`} {
+		resp, err := http.Post(srv.URL+"/answer", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "-audit-seeds") {
+			t.Fatalf("%s: status %d %s, want 400 naming -audit-seeds", body, resp.StatusCode, msg)
+		}
+	}
+	if st := eng.Stats(); st.Requests != 0 || st.Prepares != 0 {
+		t.Fatalf("a rejected seed reached the engine: %+v", st)
+	}
+	for _, body := range []string{`{` + w + `,"seed":0}`, `{` + w + `,"seed":null}`, `{"seed":7,` + w + `,"seed":0}`} {
+		postBody(t, srv.URL, body)
+	}
+
+	audit, _ := newTestServer(t)
+	req := wireRequest{Workload: [][]float64{{1, 0, 0}, {1, 1, 0}, {1, 1, 1}}, Histograms: [][]float64{{10, 20, 30}}, Eps: 0.5, Seed: 7}
+	var first []byte
+	for i := 0; i < 2; i++ {
+		resp, body := postAnswer(t, audit.URL, req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("-audit-seeds: status %d: %s", resp.StatusCode, body)
+		}
+		if i == 1 && !bytes.Equal(body, first) {
+			t.Fatalf("-audit-seeds: one seed released %s, then %s", first, body)
+		}
+		first = body
 	}
 }
 

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -10,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"lrm/internal/core"
 	"lrm/internal/engine"
@@ -20,14 +20,27 @@ import (
 // memoServer is a test server whose warm-W memo the test can inspect.
 func memoServer(t *testing.T) (*httptest.Server, *engine.Engine, *wMemo) {
 	t.Helper()
+	return memoServerWith(t, 0, false)
+}
+
+// memoServerWith is memoServer over an engine caching cacheSize
+// workloads (0 = the default) and, with coalesce, behind a coalescer
+// with a 1 ms window.
+func memoServerWith(t *testing.T, cacheSize int, coalesce bool) (*httptest.Server, *engine.Engine, *wMemo) {
+	t.Helper()
 	eng, err := engine.New(engine.Options{
 		Mechanism: mechanism.LRM{Options: core.Options{MaxOuterIter: 5, MaxInnerIter: 2, MaxNesterovIter: 5}},
+		CacheSize: cacheSize,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	memo := newWMemo()
-	srv := httptest.NewServer(newHandler(eng, handlerConfig{mech: "LRM", maxBody: 1 << 20, memo: memo}))
+	cfg := handlerConfig{mech: "LRM", maxBody: 1 << 20, memo: memo}
+	if coalesce {
+		cfg.co = newCoalescer(eng, time.Millisecond, 64)
+	}
+	srv := httptest.NewServer(newHandler(eng, cfg))
 	t.Cleanup(func() {
 		srv.Close()
 		eng.Close()
@@ -83,6 +96,33 @@ func postStatus(t *testing.T, url, body string) (int, string) {
 
 func fingerprintOf(w [][]float64) string { return core.Fingerprint(mat.FromRows(w)) }
 
+// checkMemoTexts holds every memoized text to its entry: it must still
+// parse to a matrix of the entry's shape that fingerprints to the
+// entry's fingerprint, and the byte count must be the texts' total. An
+// entry that aliased a recycled request body would fail this.
+func checkMemoTexts(t *testing.T, memo *wMemo) {
+	t.Helper()
+	memo.mu.Lock()
+	defer memo.mu.Unlock()
+	total := 0
+	for _, e := range memo.entries {
+		total += len(e.text)
+		wl, err := e.build()
+		if err != nil {
+			t.Fatalf("memoized text %q no longer parses: %v", e.text, err)
+		}
+		if wl.W.Rows() != e.rows || wl.W.Cols() != e.cols {
+			t.Fatalf("memoized text %q is %d×%d, memoized as %d×%d", e.text, wl.W.Rows(), wl.W.Cols(), e.rows, e.cols)
+		}
+		if got := core.Fingerprint(wl.W); got != e.fp {
+			t.Fatalf("memoized text %q hashes to %s, memoized as %s: it was written", e.text, got, e.fp)
+		}
+	}
+	if memo.bytes != total {
+		t.Fatalf("memo counts %d bytes, its texts hold %d", memo.bytes, total)
+	}
+}
+
 // TestMemoIgnoresOneOffWorkloads: W sent once never reaches the memo, so
 // traffic that does not repeat W pins nothing.
 func TestMemoIgnoresOneOffWorkloads(t *testing.T) {
@@ -106,11 +146,12 @@ func TestMemoAdmitsOnSecondSighting(t *testing.T) {
 	srv, eng, memo := memoServer(t)
 	w := memoW(1)
 	body, want := workloadBody(t, w), fingerprintOf(w)
+	text := len(`[[1,0,1],[1,1,0],[0,1,1]]`) // the memo counts text bytes
 	wantStats := []memoStats{
 		{Entries: 0, Misses: 1},
-		{Entries: 1, Misses: 2, Bytes: 72},
-		{Entries: 1, Misses: 2, Bytes: 72, Hits: 1},
-		{Entries: 1, Misses: 2, Bytes: 72, Hits: 2},
+		{Entries: 1, Misses: 2, Bytes: text},
+		{Entries: 1, Misses: 2, Bytes: text, Hits: 1},
+		{Entries: 1, Misses: 2, Bytes: text, Hits: 2},
 	}
 	for i, ws := range wantStats {
 		if fp := postBody(t, srv.URL, body); fp != want {
@@ -154,11 +195,11 @@ func TestMemoRespelledWorkload(t *testing.T) {
 
 // TestMemoConcurrentHammer mixes hits and misses from many goroutines
 // over a few workloads, each in two spellings (compact, and with a space
-// after the outer bracket), through decodeRequest, where the bracket
-// scan finds both. Every response must echo the right
-// fingerprint, every request must count as exactly one hit or miss, and
-// afterwards every memoized matrix must still hash to its fingerprint:
-// shared matrices are never written.
+// after the outer bracket), through decodeRequest. Every response must
+// echo the right fingerprint, every request must count as exactly one
+// hit or miss, and afterwards every memoized text must still encode its
+// fingerprint's matrix: texts are copies, never the recycled request
+// bodies they came from.
 func TestMemoConcurrentHammer(t *testing.T) {
 	srv, _, memo := memoServer(t)
 	const workloads, clients, rounds = 3, 6, 12
@@ -190,53 +231,41 @@ func TestMemoConcurrentHammer(t *testing.T) {
 	if st.Entries != len(bodies) || st.Hits == 0 || st.Hits+st.Misses != workloads+clients*rounds {
 		t.Fatalf("memo %+v, want all %d spellings memoized, some hits, and %d lookups", st, len(bodies), workloads+clients*rounds)
 	}
-	memo.mu.Lock()
-	defer memo.mu.Unlock()
-	for _, e := range memo.m {
-		if got := core.Fingerprint(e.wl.W); got != e.fp {
-			t.Fatalf("memoized matrix hashes to %s, memoized as %s: it was written", got, e.fp)
-		}
-	}
+	checkMemoTexts(t, memo)
 }
 
-// TestMemoSurvivesEngineEviction: when the engine evicts a memoized W,
-// the next memo hit prepares it again from the shared matrix, which must
-// come out of that preparation unchanged.
+// TestMemoSurvivesEngineEviction: a memo hit sends the engine W's
+// fingerprint alone. When the engine has evicted W, it answers
+// ErrNotResident, and the handler parses the memoized text and sends the
+// request again with W, which prepares it again. That holds with and
+// without a coalescer in between.
 func TestMemoSurvivesEngineEviction(t *testing.T) {
-	eng, err := engine.New(engine.Options{
-		Mechanism: mechanism.LRM{Options: core.Options{MaxOuterIter: 5, MaxInnerIter: 2, MaxNesterovIter: 5}},
-		CacheSize: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	memo := newWMemo()
-	srv := httptest.NewServer(newHandler(eng, handlerConfig{mech: "LRM", maxBody: 1 << 20, memo: memo}))
-	t.Cleanup(func() {
-		srv.Close()
-		eng.Close()
-	})
-	w1, w2 := memoW(20), memoW(21)
-	b1 := workloadBody(t, w1)
-	postBody(t, srv.URL, b1)
-	postBody(t, srv.URL, b1)                  // memoized
-	postBody(t, srv.URL, workloadBody(t, w2)) // evicts w1 from the engine
-	if fp := postBody(t, srv.URL, b1); fp != fingerprintOf(w1) {
-		t.Fatalf("fingerprint %q, want %q", fp, fingerprintOf(w1))
-	}
-	if st, est := memo.stats(), eng.Stats(); st.Hits != 1 || est.Prepares != 3 {
-		t.Fatalf("memo %+v, engine %+v: want a memo hit that prepared w1 again", st, est)
-	}
-	memo.mu.Lock()
-	defer memo.mu.Unlock()
-	for _, e := range memo.m {
-		if got := core.Fingerprint(e.wl.W); got != e.fp {
-			t.Fatalf("memoized matrix hashes to %s after a prepare, memoized as %s", got, e.fp)
-		}
+	for _, tc := range []struct {
+		name     string
+		coalesce bool
+	}{{"direct", false}, {"coalesced", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, eng, memo := memoServerWith(t, 1, tc.coalesce)
+			w1, w2 := memoW(20), memoW(21)
+			b1 := workloadBody(t, w1)
+			postBody(t, srv.URL, b1)
+			postBody(t, srv.URL, b1) // memoized
+			if fp := postBody(t, srv.URL, b1); fp != fingerprintOf(w1) {
+				t.Fatalf("resident hit: fingerprint %q, want %q", fp, fingerprintOf(w1))
+			}
+			postBody(t, srv.URL, workloadBody(t, w2)) // evicts w1 from the engine
+			if fp := postBody(t, srv.URL, b1); fp != fingerprintOf(w1) {
+				t.Fatalf("evicted hit: fingerprint %q, want %q", fp, fingerprintOf(w1))
+			}
+			if st, est := memo.stats(), eng.Stats(); st.Hits != 2 || est.Prepares != 3 || est.Requests != 5 {
+				t.Fatalf("memo %+v, engine %+v: want two memo hits, the second preparing w1 again", st, est)
+			}
+			checkMemoTexts(t, memo)
+		})
 	}
 }
 
-// TestMemoBounded: the memo never holds more than memoEntries matrices,
+// TestMemoBounded: the memo never holds more than memoEntries texts,
 // evicts the least recently used first, and keeps its byte count exact.
 // Every request goes through the decoder's lookup, as a served one does.
 func TestMemoBounded(t *testing.T) {
@@ -255,9 +284,10 @@ func TestMemoBounded(t *testing.T) {
 	for k := 1; k < 3*memoEntries; k++ {
 		request(0) // keep entry 0 the most recently used
 		request(k)
-		if st := memo.stats(); st.Entries > memoEntries || st.Bytes != st.Entries*4*8 {
-			t.Fatalf("after %d workloads: memo %+v, want ≤ %d entries of 32 bytes", k+1, st, memoEntries)
+		if st := memo.stats(); st.Entries > memoEntries {
+			t.Fatalf("after %d workloads: memo %+v, want ≤ %d entries", k+1, st, memoEntries)
 		}
+		checkMemoTexts(t, memo)
 	}
 	before := memo.stats()
 	request(0)
@@ -273,7 +303,8 @@ func TestMemoBounded(t *testing.T) {
 // nothing else, so the body around a memoized W is held to the same
 // contract as a miss, and only a valid W reaches the memo. Each case
 // posts one body to a server whose memo holds W, then reposts it twice:
-// a rejected body never adds a memo entry.
+// a rejected body never adds a memo entry. A body the decoder rejects
+// must fail with the error it gets from an empty memo.
 func TestDecodeMemoHitKeepsContract(t *testing.T) {
 	w := memoW(30)
 	wText := `[[1,0,30],[1,1,0],[0,1,1]]`
@@ -310,6 +341,17 @@ func TestDecodeMemoHitKeepsContract(t *testing.T) {
 		{name: "unterminated row", body: body(`[[1,0,30]`, ""), status: 400},
 		{name: "ragged W", body: body(`[[1,0,30],[1,1]]`, ""), status: 400},
 		{name: "out-of-range W", body: body(`[[1e400,0,30],[1,1,0],[0,1,1]]`, ""), status: 400, misses: 1},
+		// W's text ends a row early in a longer value: the memo text
+		// [[1,0,30],[1,1,0],[0,1,1]] and this value share all but its
+		// closing bracket, so it is no prefix of this value.
+		{name: "longer W sharing the memo text's rows", body: body(`[[1,0,30],[1,1,0],[0,1,1],[1,1,1]]`, ""), status: 200,
+			fp: fingerprintOf([][]float64{{1, 0, 30}, {1, 1, 0}, {0, 1, 1}, {1, 1, 1}}), misses: 1, prepares: 1},
+		{name: "hit then a stray bracket", body: body(wText+"]", ""), status: 400},
+		{name: "hit then junk", body: body(wText+"x", ""), status: 400},
+		{name: "hit then a digit", body: body(wText+"1", ""), status: 400},
+		{name: "W differing in its last entry", body: body(`[[1,0,30],[1,1,0],[0,1,2]]`, ""), status: 200,
+			fp: fingerprintOf([][]float64{{1, 0, 30}, {1, 1, 0}, {0, 1, 2}}), misses: 1, prepares: 1},
+		{name: "hit then the same W", body: body(wText, `,"workload":`+wText), status: 200, fp: fingerprintOf(w), hits: 1, engHits: 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -320,10 +362,13 @@ func TestDecodeMemoHitKeepsContract(t *testing.T) {
 			}
 			postBody(t, srv.URL, warmup)
 			postBody(t, srv.URL, warmup) // memoized
-			if tc.dev != nil {
-				if _, err := decodeAnswer([]byte(tc.body), memo); !errors.Is(err, tc.dev) {
-					t.Fatalf("decodeAnswer = %v, want %v", err, tc.dev)
-				}
+			_, err := decodeAnswer([]byte(tc.body), memo)
+			if tc.dev != nil && !errors.Is(err, tc.dev) {
+				t.Fatalf("decodeAnswer = %v, want %v", err, tc.dev)
+			}
+			_, missErr := decodeAnswer([]byte(tc.body), newWMemo())
+			if fmt.Sprint(err) != fmt.Sprint(missErr) {
+				t.Fatalf("decodeAnswer with W memoized: %v; with an empty memo: %v", err, missErr)
 			}
 			before, engBefore := memo.stats(), eng.Stats()
 			status, fp := postStatus(t, srv.URL, tc.body)
@@ -348,19 +393,14 @@ func TestDecodeMemoHitKeepsContract(t *testing.T) {
 }
 
 // TestMemoHitSkipsGrammarScan pins what makes a hit cheap: the decoder
-// trusts a memo key and does not re-check the grammar of the text it
-// names, whatever whitespace lies between its rows. A key planted over
-// text that is not JSON is taken as that entry's workload. A served memo
-// only keys texts that passed the full decoder, so this never happens
-// outside the test.
+// trusts a memoized text and does not re-check its grammar, whatever
+// whitespace lies between its rows. A text planted that is not JSON is
+// taken as that entry's workload. A served memo only holds texts that
+// passed the full decoder, so this never happens outside the test.
 func TestMemoHitSkipsGrammarScan(t *testing.T) {
 	memo := newWMemo()
-	wl, err := testWorkload([][]float64{{1, 2}, {3, 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
 	text := "[ [x] ,\n\t[y]\r]"
-	memo.put(sha256.Sum256([]byte(text)), &memoEntry{wl: wl, fp: "planted"})
+	memo.put(&memoEntry{text: []byte(text), rows: 2, cols: 2, fp: "planted"})
 	body := []byte(`{"workload": ` + text + ` ,"eps":1}`)
 	a, err := decodeAnswer(body, memo)
 	if err != nil || a.Workload.hit == nil || a.Workload.rows != 2 || a.Workload.total != 4 {
@@ -368,5 +408,46 @@ func TestMemoHitSkipsGrammarScan(t *testing.T) {
 	}
 	if _, err := decodeAnswer(body, newWMemo()); err == nil {
 		t.Fatal("without the memo entry the text must fail the grammar scan")
+	}
+}
+
+// TestMemoPrefixMatch pins the lookup on texts that share long prefixes:
+// a value matches only the entry whose whole text it starts with, and a
+// memoized text is never matched by a longer value that shares its rows
+// or by one that differs from it in the last entry alone.
+func TestMemoPrefixMatch(t *testing.T) {
+	memo := newWMemo()
+	texts := []string{`[[1,2]]`, `[[1,3]]`, `[[1,2],[3,4]]`, `[[1,2] ]`}
+	for _, text := range texts {
+		a, err := decodeAnswer([]byte(`{"workload":`+text+`}`), memo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := memo.workload(a.Workload, func(string) bool { return true }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := memo.stats(); st.Entries != len(texts) {
+		t.Fatalf("memo %+v, want all %d texts memoized", st, len(texts))
+	}
+	for _, tc := range []struct{ rest, want string }{
+		{`[[1,2]],"eps":1}`, `[[1,2]]`},
+		{`[[1,3]]}`, `[[1,3]]`},
+		{`[[1,2],[3,4]]}`, `[[1,2],[3,4]]`},
+		{`[[1,2] ]}`, `[[1,2] ]`},
+		{`[[1,2],[3,5]]}`, ""},
+		{`[[1,2],[3,4],[5,6]]}`, ""},
+		{`[[1,2]]]`, `[[1,2]]`}, // a hit; the stray ']' is the decoder's to reject
+		{`[[1,2`, ""},
+		{`[[1,4]]}`, ""},
+		{`[[1,20]]}`, ""},
+	} {
+		got := ""
+		if e := memo.lookup([]byte(tc.rest)); e != nil {
+			got = string(e.text)
+		}
+		if got != tc.want {
+			t.Errorf("lookup(%s) matched %q, want %q", tc.rest, got, tc.want)
+		}
 	}
 }

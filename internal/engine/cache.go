@@ -19,9 +19,10 @@ import (
 // plans ride the same LRU/singleflight as the Prepared they produced,
 // so a plan can never outlive (or lag behind) its preparation.
 type cacheEntry struct {
-	fp string
-	p  mechanism.Prepared
-	pl *plan.Plan // nil on fixed-mechanism engines
+	fp     string
+	p      mechanism.Prepared
+	pl     *plan.Plan // nil on fixed-mechanism engines
+	domain int        // histogram length p answers, for answerResident
 }
 
 // flightCall is one in-flight preparation that concurrent requests for the
@@ -58,12 +59,13 @@ func (e *Engine) prepared(fp string, spec func() workload.Spec) (mechanism.Prepa
 	e.mu.Unlock()
 
 	e.misses.Add(1)
-	p, pl, err := e.load(fp, spec())
+	s := spec()
+	p, pl, err := e.load(fp, s)
 
 	e.mu.Lock()
 	delete(e.flight, fp)
 	if err == nil {
-		e.insertLocked(fp, p, pl)
+		e.insertLocked(&cacheEntry{fp: fp, p: p, pl: pl, domain: s.Domain()})
 	}
 	e.mu.Unlock()
 	c.p, c.err = p, err
@@ -73,11 +75,11 @@ func (e *Engine) prepared(fp string, spec func() workload.Spec) (mechanism.Prepa
 
 // insertLocked adds a prepared workload at the front of the LRU and evicts
 // from the back past capacity. Caller holds e.mu and owns the (sole)
-// flight for fp, so no entry for fp can already be resident.
+// flight for ce.fp, so no entry for it can already be resident.
 //
 //lrm:guardedby mu
-func (e *Engine) insertLocked(fp string, p mechanism.Prepared, pl *plan.Plan) {
-	e.byFP[fp] = e.lru.PushFront(&cacheEntry{fp: fp, p: p, pl: pl})
+func (e *Engine) insertLocked(ce *cacheEntry) {
+	e.byFP[ce.fp] = e.lru.PushFront(ce)
 	for e.lru.Len() > e.capacity {
 		el := e.lru.Back()
 		evicted := el.Value.(*cacheEntry).fp

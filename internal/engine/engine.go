@@ -61,6 +61,12 @@ import (
 // spend against it.
 var ErrClosed = errors.New("engine: closed")
 
+// ErrNotResident is returned by Answer for a request that names its
+// workload by Fingerprint alone when no preparation under that
+// fingerprint is resident in memory. Nothing was spent; resend the
+// request with its Workload.
+var ErrNotResident = errors.New("engine: workload not resident")
+
 // Options configures New. The zero value serves the Low-Rank Mechanism
 // with an in-memory cache sized for a moderate workload mix.
 type Options struct {
@@ -125,13 +131,16 @@ type Request struct {
 	// for an answer it will not receive. Nil means context.Background().
 	Context context.Context
 	// Workload is the query batch W. Requests with bit-identical W share
-	// one cached preparation. Exactly one of Workload and Spec must be
-	// set.
+	// one cached preparation. At most one of Workload and Spec may be
+	// set. With neither, the request names its workload by Fingerprint
+	// alone and is served only by a resident preparation: W is read only
+	// to prepare it, so a request for a warm workload need not carry it.
+	// When none is resident, Answer fails with ErrNotResident.
 	Workload *workload.Workload
 	// Spec is the implicit form of the query batch: a structure-aware
 	// workload.Spec answered without W ever being materialized. Requests
 	// with equal Spec.Digest() share one cached preparation, keyed by
-	// workload.SpecFingerprint. Exactly one of Workload and Spec must be
+	// workload.SpecFingerprint. At most one of Workload and Spec may be
 	// set.
 	Spec workload.Spec
 	// Histograms are the databases to answer; each must have Domain()
@@ -167,10 +176,9 @@ type Request struct {
 	// Fingerprint, when non-empty, must be core.Fingerprint(Workload.W);
 	// the engine trusts it and skips both hashing and the pointer memo.
 	// Callers that already know it should set it. The HTTP server does:
-	// it hashes each W it parses once, and its own warm-W memo hands
-	// repeat requests the same workload with the fingerprint it already
-	// computed, so the engine's pointer memo would add nothing but
-	// retained matrices.
+	// it hashes each W it parses once, and a repeat request its warm-W
+	// memo recognizes carries the memoized fingerprint and no Workload.
+	// With Workload and Spec both nil it alone names the workload.
 	Fingerprint string
 }
 
@@ -418,6 +426,9 @@ func (e *Engine) Answer(req Request) ([][]float64, error) {
 		}
 		return e.answerSpec(req)
 	}
+	if req.Workload == nil && req.Fingerprint != "" {
+		return e.answerResident(req)
+	}
 	if req.Workload == nil || req.Workload.W == nil {
 		return nil, errors.New("engine: nil workload")
 	}
@@ -435,6 +446,33 @@ func (e *Engine) Answer(req Request) ([][]float64, error) {
 		return nil, err
 	}
 	return e.release(p, req)
+}
+
+// answerResident serves a request that names its workload by
+// Fingerprint alone, from the resident preparation under it. With no W
+// there is nothing to prepare from, so a miss fails with ErrNotResident
+// before anything is counted or spent.
+//
+//lrm:sink return — everything answerResident returns leaves the privacy boundary
+func (e *Engine) answerResident(req Request) ([][]float64, error) {
+	e.mu.Lock()
+	el, ok := e.byFP[req.Fingerprint]
+	if ok {
+		e.lru.MoveToFront(el)
+	}
+	e.mu.Unlock()
+	if !ok {
+		return nil, ErrNotResident
+	}
+	// Entries are never written after insertion, so ce serves even if it
+	// is evicted from here on.
+	ce := el.Value.(*cacheEntry)
+	if err := validateHistograms(req, ce.domain); err != nil {
+		return nil, err
+	}
+	e.requests.Add(1)
+	e.hits.Add(1)
+	return e.release(ce.p, req)
 }
 
 // validateHistograms checks the request's release parameters and that

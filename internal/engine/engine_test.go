@@ -348,6 +348,47 @@ func TestRequestFingerprint(t *testing.T) {
 	}
 }
 
+// TestAnswerResident: a request that names its workload by fingerprint
+// alone is served by the resident preparation exactly as the request
+// carrying W is, is held to the same histogram checks, and fails with
+// ErrNotResident, counting nothing, once no preparation is resident.
+func TestAnswerResident(t *testing.T) {
+	e := newTestEngine(t, Options{CacheSize: 1})
+	w := testWorkload(98)
+	fp := core.Fingerprint(w.W)
+	x := [][]float64{testHistogram(w.Domain(), 99), testHistogram(w.Domain(), 100)}
+	if _, err := e.Answer(Request{Fingerprint: fp, Histograms: x, Eps: 1}); !errors.Is(err, ErrNotResident) {
+		t.Fatalf("cold fingerprint-only request: err %v, want ErrNotResident", err)
+	}
+	if st := e.Stats(); st != (Stats{}) {
+		t.Fatalf("a refused fingerprint-only request moved the counters: %+v", st)
+	}
+	want, err := e.Answer(Request{Workload: w, Histograms: x, Eps: 1, Seed: 7, Fingerprint: fp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := e.Answer(Request{Fingerprint: fp, Histograms: x, Eps: 1, Seed: 7})
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("fingerprint-only release %v, %v; with W %v", got, err, want)
+	}
+	if _, err := e.Answer(Request{Fingerprint: fp, Histograms: [][]float64{{1}}, Eps: 1}); err == nil {
+		t.Fatal("fingerprint-only request with a wrong-length histogram was answered")
+	}
+	if _, err := e.Answer(Request{Fingerprint: fp, Histograms: x, Eps: 1, Budget: 1}); !errors.Is(err, privacy.ErrBudgetExhausted) {
+		t.Fatalf("fingerprint-only request over its own cap: err %v, want ErrBudgetExhausted", err)
+	}
+	if st := e.Stats(); st.Requests != 2 || st.Hits != 1 || st.Prepares != 1 {
+		t.Fatalf("stats = %+v, want 2 requests, 1 hit, 1 prepare", st)
+	}
+	other := testWorkload(101)
+	if _, err := e.Answer(Request{Workload: other, Histograms: [][]float64{testHistogram(other.Domain(), 1)}, Eps: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Answer(Request{Fingerprint: fp, Histograms: x, Eps: 1}); !errors.Is(err, ErrNotResident) {
+		t.Fatalf("evicted fingerprint-only request: err %v, want ErrNotResident", err)
+	}
+}
+
 // TestUnseededNoiseUnpredictable: with no Seed (the production mode),
 // identical requests must NOT produce identical noise — a repeatable
 // release would let anyone subtract the noise and recover exact answers.
