@@ -171,8 +171,10 @@ type Mechanism = mechanism.Mechanism
 type Prepared = mechanism.Prepared
 
 // BatchAnswerer is the optional multi-RHS extension of Prepared: answer
-// B histograms (the columns of an n×B matrix) in one call, bit-identical
-// to looping Answer but computed as packed multi-RHS GEMMs.
+// B histograms (the columns of an n×B matrix) in one call, computed as
+// packed multi-RHS GEMMs. It draws the same noise in the same order as
+// looping Answer, and each column equals the loop's to within
+// floating-point rounding (bit for bit when B = 1).
 type BatchAnswerer = mechanism.BatchAnswerer
 
 // AnswerMany answers every column of an n×B data matrix through p,

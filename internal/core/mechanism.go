@@ -72,7 +72,7 @@ func (m *Mechanism) Answer(x []float64, eps privacy.Epsilon, src *rng.Source) ([
 // AnswerMany releases ε-differentially-private answers for a whole batch
 // of histograms at once: x is n×B with one histogram per column, and the
 // result is m×B with the corresponding releases as columns. The two
-// dense products run as packed multi-RHS GEMMs (mat.MulColsTo) instead
+// dense products run as packed multi-RHS GEMMs (mat.MulEpiTo) instead
 // of 2·B mat-vecs — the low-rank factors are packed once per batch and
 // streamed through register-blocked kernels — which is where the
 // mechanism's batch framing pays off at serving scale.
@@ -83,11 +83,13 @@ func (m *Mechanism) Answer(x []float64, eps privacy.Epsilon, src *rng.Source) ([
 // intermediate is swept exactly once instead of getting a second
 // gather/noise/scatter pass after the product.
 //
-// The release is bit-identical to calling Answer on each column in
-// ascending order with the same source: MulColsTo guarantees column-exact
-// products, the noise is drawn column by column in the same order the
-// loop would draw it, and each fused addition y[i][j] + noise[i][j] is
-// the same two operands the loop would add.
+// The release draws the same noise as calling Answer on each column in
+// ascending order with the same source, column by column in the order
+// the loop would draw it, so each column equals the loop's to within
+// floating-point rounding: the GEMM kernel may round a product
+// differently from Answer's mat-vec, which is post-processing of the
+// noisy y and does not touch the ε-DP guarantee. A single column runs
+// the mat-vec itself and is bit-identical to Answer.
 func (m *Mechanism) AnswerMany(x *mat.Dense, eps privacy.Epsilon, src *rng.Source) (*mat.Dense, error) {
 	if err := eps.Validate(); err != nil {
 		return nil, err
@@ -107,19 +109,19 @@ func (m *Mechanism) AnswerMany(x *mat.Dense, eps privacy.Epsilon, src *rng.Sourc
 	if err := m.noiseFusedProduct(y, x, eps, src); err != nil {
 		return nil, err
 	}
-	return mat.MulColsTo(mat.New(m.d.B.Rows(), cols), m.d.B, y), nil
+	return mat.MulEpiTo(mat.New(m.d.B.Rows(), cols), m.d.B, y, nil), nil
 }
 
 // noiseFusedProduct computes y = L·x and perturbs every element with
 // Laplace noise of scale Δ(B,L)/ε in one pass: the noise block is drawn
 // up front — column by column in ascending order, exactly the draw
 // sequence a loop of per-column Answer calls sharing one source would
-// produce, which the bit-identity contract with Answer requires — and
-// added inside the GEMM's per-tile epilogue while each output block is
-// still cache-hot. The epilogue touches disjoint rectangles exactly once
+// produce, which the BatchAnswerer contract requires — and added inside
+// the GEMM's per-tile epilogue while each output block is still
+// cache-hot. The epilogue touches disjoint rectangles exactly once
 // each and adds values that do not depend on tile order, so the result
-// is bit-identical across worker counts and kernel families, per the
-// MulColsEpiTo contract.
+// is bit-identical across worker counts and asm kernel tiers, per the
+// MulEpiTo contract.
 //
 // The noise buffer is column-major (column j at noise[j·r : (j+1)·r]) so
 // each pre-draw fills a contiguous slice in stream order.
@@ -134,7 +136,7 @@ func (m *Mechanism) noiseFusedProduct(y, x *mat.Dense, eps privacy.Epsilon, src 
 		}
 	}
 	yd, yc := y.RawData(), y.Cols()
-	mat.MulColsEpiTo(y, m.d.L, x, func(r0, r1, c0, c1 int) {
+	mat.MulEpiTo(y, m.d.L, x, func(r0, r1, c0, c1 int) {
 		for i := r0; i < r1; i++ {
 			row := yd[i*yc : i*yc+yc]
 			for j := c0; j < c1; j++ {

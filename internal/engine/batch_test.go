@@ -60,12 +60,16 @@ func TestBatchedPathUsed(t *testing.T) {
 }
 
 // TestSeededReleaseIsOneStream pins the seeded-release contract of the
-// engine's single answer path: a seeded request releases exactly what
+// engine's single answer path: a seeded request draws the noise that
 // looping the prepared mechanism's Answer over its histograms with one
-// source seeded Seed would (mechanism.AnswerManyLoop), bit for bit —
+// source seeded Seed would (mechanism.AnswerManyLoop), and each released
+// histogram equals that loop's to within floating-point rounding —
 // through a native multi-RHS path (LRM, LM) and through the loop
-// fallback (a Kronecker spec). A one-histogram request is the plain
-// Answer at rng.New(Seed).
+// fallback (a Kronecker spec). Batches of 3 and 9 sit below and above
+// one GEMM panel (8 columns), so the wider one runs the tier's GEMM
+// kernel. Repeating a seeded request gives the same bits, and a
+// one-histogram request is the plain Answer at rng.New(Seed), bit for
+// bit.
 func TestSeededReleaseIsOneStream(t *testing.T) {
 	const seed = 5
 	const eps = privacy.Epsilon(0.5)
@@ -92,44 +96,60 @@ func TestSeededReleaseIsOneStream(t *testing.T) {
 			if tc.req.Spec != nil {
 				n = tc.req.Spec.Domain()
 			}
-			xs := [][]float64{testHistogram(n, 211), testHistogram(n, 212), testHistogram(n, 213)}
-			req := tc.req
-			req.Histograms, req.Eps, req.Seed = xs, eps, seed
-			got, err := e.Answer(req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			p := residentPrepared(t, e, tc.fp)
-			if _, ok := p.(mechanism.BatchAnswerer); ok != tc.native {
-				t.Fatalf("native multi-RHS path = %v, want %v", ok, tc.native)
-			}
-			x := mat.New(n, len(xs))
-			for j, h := range xs {
-				x.SetCol(j, h)
-			}
-			want, err := mechanism.AnswerManyLoop(p, x, eps, rng.New(seed))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for j := range xs {
-				if !reflect.DeepEqual(got[j], want.Col(j)) {
-					t.Fatalf("seeded B=3 histogram %d differs from AnswerManyLoop at rng.New(%d)", j, seed)
+			for _, b := range []int{3, 9} {
+				xs := make([][]float64, b)
+				for j := range xs {
+					xs[j] = testHistogram(n, int64(211+j))
+				}
+				req := tc.req
+				req.Histograms, req.Eps, req.Seed = xs, eps, seed
+				got, err := e.Answer(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				again, err := e.Answer(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(again, got) {
+					t.Fatalf("seeded B=%d request released different bits on a repeat", b)
+				}
+				p := residentPrepared(t, e, tc.fp)
+				if _, ok := p.(mechanism.BatchAnswerer); ok != tc.native {
+					t.Fatalf("native multi-RHS path = %v, want %v", ok, tc.native)
+				}
+				x := mat.New(n, b)
+				for j, h := range xs {
+					x.SetCol(j, h)
+				}
+				want, err := mechanism.AnswerManyLoop(p, x, eps, rng.New(seed))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for j := range xs {
+					for i, w := range want.Col(j) {
+						if g := got[j][i]; math.Abs(g-w) > 1e-12*math.Max(1, math.Abs(w)) {
+							t.Fatalf("seeded B=%d histogram %d row %d = %v, AnswerManyLoop at rng.New(%d) says %v", b, j, i, g, seed, w)
+						}
+					}
 				}
 			}
 
-			req.Histograms = xs[:1]
+			x0 := testHistogram(n, 211)
+			req := tc.req
+			req.Histograms, req.Eps, req.Seed = [][]float64{x0}, eps, seed
 			one, err := e.Answer(req)
 			if err != nil {
 				t.Fatal(err)
 			}
-			single, err := p.Answer(xs[0], eps, rng.New(seed))
+			single, err := residentPrepared(t, e, tc.fp).Answer(x0, eps, rng.New(seed))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(one[0], single) {
 				t.Fatalf("seeded B=1 request differs from Answer at rng.New(%d)", seed)
 			}
-			if st := e.Stats(); tc.native && st.Batched != 2 || !tc.native && st.Batched != 0 {
+			if st := e.Stats(); tc.native && st.Batched != 5 || !tc.native && st.Batched != 0 {
 				t.Fatalf("stats = %+v: batched counts requests the native path answered", st)
 			}
 		})

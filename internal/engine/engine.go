@@ -157,10 +157,12 @@ type Request struct {
 	Budget privacy.Epsilon
 	// Seed, when non-zero, makes the release reproducible: the whole
 	// request draws its noise from one stream seeded with Seed, histogram
-	// by histogram in request order — exactly what looping the prepared
-	// mechanism's Answer over the histograms with rng.New(Seed) releases
-	// (mechanism.AnswerManyLoop). A one-histogram request therefore
-	// equals Answer(x, Eps, rng.New(Seed)). This is a debug/audit mode —
+	// by histogram in request order — exactly the draws of looping the
+	// prepared mechanism's Answer over the histograms with rng.New(Seed)
+	// (mechanism.AnswerManyLoop), and each released histogram equals that
+	// loop's to within floating-point rounding. The same Seed gives the
+	// same bits on every call, and a one-histogram request equals
+	// Answer(x, Eps, rng.New(Seed)) bit for bit. This is a debug/audit mode —
 	// anyone who knows the seed can regenerate the noise and subtract it,
 	// so a seeded release carries no privacy against a party that learns
 	// the seed. Zero (the default) seeds the request's stream from the
@@ -515,8 +517,9 @@ func validateHistograms(req Request, n int) error {
 // stacked as the columns of an n×B matrix, drawing from one noise stream
 // seeded Seed (or an unpredictable seed when Seed is zero). AnswerMany
 // takes the mechanism's native multi-RHS path when it has one and loops
-// Answer over the columns otherwise; either way the release equals
-// looping Answer with the same source. The per-request budget was
+// Answer over the columns otherwise; either way the release draws the
+// noise of looping Answer with the same source and equals that loop to
+// within floating-point rounding. The per-request budget was
 // already applied by validateHistograms.
 //
 //lrm:sink return — everything release returns leaves the privacy boundary

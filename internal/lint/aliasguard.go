@@ -15,7 +15,7 @@ import (
 // every path at build time.
 var AliasGuard = &Analyzer{
 	Name: "aliasguard",
-	Doc: "flags mat in-place kernel calls (MulTo, GramTo, MulColsTo, …) " +
+	Doc: "flags mat in-place kernel calls (MulTo, GramTo, MulEpiTo, …) " +
 		"whose destination syntactically aliases an operand the kernel " +
 		"must not alias; such calls panic at runtime and would corrupt " +
 		"the operand mid-product if they did not",
@@ -38,7 +38,7 @@ var aliasKernels = map[string]aliasRule{
 	"lrm/internal/mat.MulTo":       {dst: 0, operands: []int{1, 2}},
 	"lrm/internal/mat.MulABtTo":    {dst: 0, operands: []int{1, 2}},
 	"lrm/internal/mat.MulAtBTo":    {dst: 0, operands: []int{1, 2}},
-	"lrm/internal/mat.MulColsTo":   {dst: 0, operands: []int{1, 2}},
+	"lrm/internal/mat.MulEpiTo":    {dst: 0, operands: []int{1, 2}},
 	"lrm/internal/mat.GramTo":      {dst: 0, operands: []int{1}},
 	"lrm/internal/mat.GramTTo":     {dst: 0, operands: []int{1}},
 	"lrm/internal/mat.TransposeTo": {dst: 0, operands: []int{1}},

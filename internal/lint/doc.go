@@ -6,7 +6,7 @@
 // # Syntactic analyzers
 //
 //   - aliasguard: in-place mat kernel calls (MulTo, GramTo,
-//     MulColsTo, SolveRightSPDTo, …) must not pass the same variable or
+//     MulEpiTo, SolveRightSPDTo, …) must not pass the same variable or
 //     field chain as destination and a forbidden operand. The kernels
 //     panic on aliasing at runtime; the analyzer catches the obvious
 //     cases on paths no test drives.

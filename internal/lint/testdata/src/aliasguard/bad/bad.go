@@ -21,6 +21,10 @@ func fieldChain(s *state, b *mat.Dense) *mat.Dense {
 	return mat.MulTo(s.work, s.work, b) // want `destination s\.work aliases operand 1`
 }
 
+func batched(dst, b *mat.Dense) *mat.Dense {
+	return mat.MulEpiTo(dst, dst, b, nil) // want `destination dst aliases operand 1`
+}
+
 func vec(dst []float64, a *mat.Dense) []float64 {
 	return mat.MulVecTo(dst, a, dst) // want `destination dst aliases operand 2`
 }

@@ -69,7 +69,7 @@ func mulInto(out, a, b *Dense) {
 	if gemmDirect(out, a.rows, b.cols, a.cols, av, b.data) {
 		return
 	}
-	gemmMain(out, a.rows, b.cols, a.cols, av, b.data, b.cols, 1, false, false, nil)
+	gemmMain(out, a.rows, b.cols, a.cols, av, b.data, b.cols, 1, false, nil)
 }
 
 // MulABt returns a·bᵀ without materializing the transpose.
@@ -87,7 +87,7 @@ func MulABt(a, b *Dense) *Dense {
 func mulABtInto(out, a, b *Dense) {
 	gemmMain(out, a.rows, b.rows, a.cols,
 		aView{data: a.data, row: a.cols, k: 1},
-		b.data, 1, b.cols, false, false, nil)
+		b.data, 1, b.cols, false, nil)
 }
 
 // MulAtB returns aᵀ·b without materializing the transpose.
@@ -109,7 +109,7 @@ func mulAtBInto(out, a, b *Dense) {
 	if gemmDirect(out, a.cols, b.cols, a.rows, av, b.data) {
 		return
 	}
-	gemmMain(out, a.cols, b.cols, a.rows, av, b.data, b.cols, 1, false, false, nil)
+	gemmMain(out, a.cols, b.cols, a.rows, av, b.data, b.cols, 1, false, nil)
 }
 
 // MulVec returns the matrix-vector product a·x.
@@ -140,7 +140,7 @@ func Gram(a *Dense) *Dense {
 func gramInto(out, a *Dense) {
 	gemmMain(out, a.cols, a.cols, a.rows,
 		aView{data: a.data, row: 1, k: a.cols},
-		a.data, a.cols, 1, true, false, nil)
+		a.data, a.cols, 1, true, nil)
 	mirrorLower(out)
 }
 
@@ -159,7 +159,7 @@ func GramT(a *Dense) *Dense {
 func gramTInto(out, a *Dense) {
 	gemmMain(out, a.rows, a.rows, a.cols,
 		aView{data: a.data, row: a.cols, k: 1},
-		a.data, 1, a.cols, true, false, nil)
+		a.data, 1, a.cols, true, nil)
 	mirrorLower(out)
 }
 

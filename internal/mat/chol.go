@@ -125,15 +125,6 @@ func (c *Cholesky) Solve(b *Dense) (*Dense, error) {
 	return x, nil
 }
 
-// SolveSPD solves A·X = B for symmetric positive definite A.
-func SolveSPD(a, b *Dense) (*Dense, error) {
-	c, err := FactorCholesky(a)
-	if err != nil {
-		return nil, err
-	}
-	return c.Solve(b)
-}
-
 // SolveRightSPD solves X·A = B for symmetric positive definite A, i.e.
 // X = B·A⁻¹, by solving Aᵀ·Xᵀ = Bᵀ and exploiting A's symmetry. It is
 // the operation needed by the paper's closed-form B-update (Eq. 9).

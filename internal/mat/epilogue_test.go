@@ -1,11 +1,12 @@
 package mat
 
 import (
+	"math"
 	"sync"
 	"testing"
 )
 
-// TestEpilogueExactlyOnce proves the MulColsEpiTo contract that the
+// TestEpilogueExactlyOnce proves the MulEpiTo contract that the
 // epilogue observes every element of dst exactly once, with in-bounds
 // rectangles, on both the serial path and the pooled tile path (forced
 // via the parallel threshold). Shapes cross tile boundaries in both
@@ -29,7 +30,7 @@ func TestEpilogueExactlyOnce(t *testing.T) {
 			b := randDenseSeed(t, sh.k, sh.n, int64(13*sh.k+sh.m))
 			seen := make([]int, sh.m*sh.n)
 			var mu sync.Mutex
-			MulColsEpiTo(New(sh.m, sh.n), a, b, func(r0, r1, c0, c1 int) {
+			MulEpiTo(New(sh.m, sh.n), a, b, func(r0, r1, c0, c1 int) {
 				if r0 < 0 || r1 > sh.m || c0 < 0 || c1 > sh.n || r0 >= r1 || c0 >= c1 {
 					t.Errorf("%dx%dx%d: epilogue rect [%d,%d)x[%d,%d) out of bounds", sh.m, sh.k, sh.n, r0, r1, c0, c1)
 					return
@@ -64,7 +65,7 @@ func TestEpilogueBitIdentity(t *testing.T) {
 
 	run := func() *Dense {
 		dst := New(m, n)
-		MulColsEpiTo(dst, a, b, func(r0, r1, c0, c1 int) {
+		MulEpiTo(dst, a, b, func(r0, r1, c0, c1 int) {
 			for i := r0; i < r1; i++ {
 				for j := c0; j < c1; j++ {
 					dst.Set(i, j, dst.At(i, j)+add.At(i, j))
@@ -75,7 +76,7 @@ func TestEpilogueBitIdentity(t *testing.T) {
 	}
 
 	// Unfused reference: full product, then a second sweep.
-	want := MulColsTo(New(m, n), a, b)
+	want := MulEpiTo(New(m, n), a, b, nil)
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
 			want.Set(i, j, want.At(i, j)+add.At(i, j))
@@ -105,16 +106,16 @@ func TestEpilogueCounter(t *testing.T) {
 		a := randDenseSeed(t, 8, 8, 41)
 		b := randDenseSeed(t, 8, n, 42)
 		before := FusedEpilogueRuns()
-		MulColsTo(New(8, n), a, b)
+		MulEpiTo(New(8, n), a, b, nil)
 		if d := FusedEpilogueRuns() - before; d != 0 {
-			t.Fatalf("n=%d: plain MulColsTo bumped the fused-epilogue counter by %d", n, d)
+			t.Fatalf("n=%d: MulEpiTo without an epilogue bumped the fused-epilogue counter by %d", n, d)
 		}
 		var rects [][4]int
-		got := MulColsEpiTo(New(8, n), a, b, func(r0, r1, c0, c1 int) {
+		got := MulEpiTo(New(8, n), a, b, func(r0, r1, c0, c1 int) {
 			rects = append(rects, [4]int{r0, r1, c0, c1})
 		})
 		if d := FusedEpilogueRuns() - before; d != 1 {
-			t.Fatalf("n=%d: MulColsEpiTo bumped the fused-epilogue counter by %d, want 1", n, d)
+			t.Fatalf("n=%d: MulEpiTo with an epilogue bumped the fused-epilogue counter by %d, want 1", n, d)
 		}
 		if n != 1 {
 			continue
@@ -129,4 +130,75 @@ func TestEpilogueCounter(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestMulEpiToMatchesMul pins what the batched answer paths compute: a
+// multi-column MulEpiTo is bitwise the MulTo product (the same GEMM
+// kernel, tile grid and k-order), a single column is bitwise the
+// MulVecTo mat-vec, and every column of a wider product equals the
+// MulVecTo of that column to within floating-point rounding, on both the
+// serial and the pool-scheduled path. The shapes cover full 4×8 and 8×8
+// blocks, the 1×8 short-matrix row kernel, partial trailing panels and
+// single columns.
+func TestMulEpiToMatchesMul(t *testing.T) {
+	shapes := []struct{ m, k, n int }{
+		{1, 1, 1},
+		{3, 5, 1},     // single column: the MulVecTo branch
+		{300, 257, 1}, // single column large enough for the pooled mat-vec
+		{2, 9, 5},     // fewer rows than gemmMR, partial panel
+		{4, 8, 8},     // exactly one full panel of 4×8 blocks
+		{7, 13, 11},   // row tail + partial trailing panel
+		{33, 47, 29},
+		{64, 77, 64},
+		{65, 129, 70}, // odd everything
+	}
+	for _, sh := range shapes {
+		a := randDenseSeed(t, sh.m, sh.k, int64(100+3*sh.m+5*sh.k+7*sh.n))
+		b := randDenseSeed(t, sh.k, sh.n, int64(200+11*sh.m+13*sh.k+17*sh.n))
+		for _, threshold := range []int64{1 << 62, 0} { // force serial, then parallel
+			old := setParallelThreshold(threshold)
+			got := MulEpiTo(New(sh.m, sh.n), a, b, nil)
+			viaMul := MulTo(New(sh.m, sh.n), a, b)
+			setParallelThreshold(old)
+			if sh.n > 1 && !got.Equal(viaMul) {
+				t.Fatalf("%dx%dx%d (threshold %d): MulEpiTo differs bitwise from MulTo", sh.m, sh.k, sh.n, threshold)
+			}
+			col := make([]float64, sh.k)
+			want := make([]float64, sh.m)
+			for j := 0; j < sh.n; j++ {
+				for i := 0; i < sh.k; i++ {
+					col[i] = b.At(i, j)
+				}
+				MulVecTo(want, a, col)
+				for i := 0; i < sh.m; i++ {
+					g, w := got.At(i, j), want[i]
+					if sh.n == 1 && g != w {
+						t.Fatalf("%dx%dx1 (threshold %d): row %d = %g, MulVecTo says %g", sh.m, sh.k, threshold, i, g, w)
+					}
+					if math.Abs(g-w) > 1e-12*math.Max(1, math.Abs(w)) {
+						t.Fatalf("%dx%dx%d (threshold %d): column %d row %d = %g, MulVecTo says %g",
+							sh.m, sh.k, sh.n, threshold, j, i, g, w)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestMulEpiToValidation pins the shape and aliasing panics.
+func TestMulEpiToValidation(t *testing.T) {
+	a, b := New(3, 4), New(4, 2)
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: no panic", name)
+			}
+		}()
+		f()
+	}
+	mustPanic("dim mismatch", func() { MulEpiTo(New(3, 2), a, New(5, 2), nil) })
+	mustPanic("bad dst shape", func() { MulEpiTo(New(2, 2), a, b, nil) })
+	mustPanic("dst aliases a", func() { MulEpiTo(NewFromData(3, 2, a.RawData()[:6]), a, b, nil) })
+	mustPanic("dst aliases b", func() { MulEpiTo(NewFromData(3, 2, b.RawData()[:6]), a, b, nil) })
 }

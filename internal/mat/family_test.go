@@ -10,45 +10,47 @@ import (
 // TestKernelFamilyBitEquality pins the cross-tier contract that lets a
 // host without the AVX-512 tier (or with LRM_NOAVX512 set) answer and
 // restore caches exactly like the AVX-512 default: the AVX2 and AVX-512
-// families must produce bit-identical products on the fused path (both
-// are one IEEE FMA chain per element, with the same FMA/scalar row
-// partition because the 8-row tier falls back to the 4-row kernel for
-// short ranges), and every family — scalar included — must agree on the
-// column-exact path. Skips where only one family exists; CI's AVX-512
-// runners exercise it for real.
+// tiers must produce bit-identical products (both are one IEEE FMA chain
+// per element, with the same FMA/scalar row partition because the 8-row
+// tier falls back to the 4-row kernel for short ranges), both for a
+// plain product and for the batched answer path with its fused noise
+// epilogue. Skips where only one asm tier exists; CI's AVX-512 runners
+// exercise it for real.
 func TestKernelFamilyBitEquality(t *testing.T) {
 	if !gemmUseAsm || !gemmUseAVX512 {
-		t.Skip("needs two asm kernel families (AVX2 and AVX-512) on this host")
+		t.Skip("needs two asm kernel tiers (AVX2 and AVX-512) on this host")
 	}
 	defer saveKernelGates()()
 
 	for _, sh := range gemmShapes {
 		a := randDenseSeed(t, sh.m, sh.k, int64(19*sh.m+sh.k))
 		b := randDenseSeed(t, sh.k, sh.n, int64(23*sh.n+sh.k))
+		noise := randDenseSeed(t, sh.m, sh.n, int64(29*sh.m+sh.n))
 		name := fmt.Sprintf("%dx%dx%d", sh.m, sh.k, sh.n)
+		fusedNoise := func() *Dense {
+			dst := New(sh.m, sh.n)
+			return MulEpiTo(dst, a, b, func(r0, r1, c0, c1 int) {
+				for i := r0; i < r1; i++ {
+					for j := c0; j < c1; j++ {
+						dst.Set(i, j, dst.At(i, j)+noise.At(i, j))
+					}
+				}
+			})
+		}
 
 		gemmUseAVX512 = true
-		fused512 := MulTo(New(sh.m, sh.n), a, b)
-		exact512 := MulColsTo(New(sh.m, sh.n), a, b)
+		plain512 := MulTo(New(sh.m, sh.n), a, b)
+		fused512 := fusedNoise()
 
 		gemmUseAVX512 = false
-		fused2 := MulTo(New(sh.m, sh.n), a, b)
-		exact2 := MulColsTo(New(sh.m, sh.n), a, b)
+		plain2 := MulTo(New(sh.m, sh.n), a, b)
+		fused2 := fusedNoise()
 
+		if !plain512.Equal(plain2) {
+			t.Fatalf("%s: product differs bitwise between avx512 and avx2 tiers", name)
+		}
 		if !fused512.Equal(fused2) {
-			t.Fatalf("%s: fused product differs bitwise between avx512 and avx2 families", name)
-		}
-		if !exact512.Equal(exact2) {
-			t.Fatalf("%s: column-exact product differs bitwise between avx512 and avx2 families", name)
-		}
-
-		// Column-exact also matches the scalar kernels: dot-product
-		// rounding is the one true order on that path.
-		gemmUseAsm = false
-		exactScalar := MulColsTo(New(sh.m, sh.n), a, b)
-		gemmUseAsm = true
-		if !exact512.Equal(exactScalar) {
-			t.Fatalf("%s: column-exact product differs bitwise between asm and scalar kernels", name)
+			t.Fatalf("%s: fused-noise product differs bitwise between avx512 and avx2 tiers", name)
 		}
 	}
 }

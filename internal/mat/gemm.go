@@ -3,7 +3,8 @@ package mat
 import "sync/atomic"
 
 // Cache-blocked packed GEMM. Every dense product in the package (Mul,
-// MulABt, MulAtB, Gram, GramT) funnels into gemmMain, which:
+// MulABt, MulAtB, Gram, GramT, multi-column MulEpiTo) funnels into
+// gemmMain, which:
 //
 //  1. packs the right-hand operand once per product into gemmNR-wide
 //     column panels (contiguous k-major strips, so the micro-kernel
@@ -100,7 +101,7 @@ type gemmAsmKernel = func(k int64, a *float64, aRowStride, aKStride int64, bp *f
 //
 // This is the fusion point for answer-path noise: AnswerMany's Laplace
 // perturbation of the intermediate runs inside the producing GEMM's
-// tiles (see MulColsEpiTo) instead of as a second sweep over the matrix.
+// tiles (see MulEpiTo) instead of as a second sweep over the matrix.
 type TileEpilogue func(r0, r1, c0, c1 int)
 
 // fusedEpilogueRuns counts gemmMain products that ran with a fused tile
@@ -120,16 +121,6 @@ func FusedEpilogueRuns() uint64 { return fusedEpilogueRuns.Load() }
 // the diagonal are skipped and per-panel row ranges are clipped to the
 // triangle — callers mirror the result (the symmetric Gram kernels).
 //
-// colExact selects the kernel family. The default (false) uses the
-// fastest available micro-kernel — AVX2+FMA where the hardware supports
-// it. colExact swaps in the mul+add assembly kernel (or the scalar
-// kernels, which already round that way): every output element is then
-// accumulated with a separate multiply and add in ascending k — the
-// exact operation sequence of a MulVecTo dot product — so each result
-// column is bit-identical to the matrix-vector product of that column
-// (the MulColsTo guarantee), which the FMA kernel's fused rounding would
-// break.
-//
 // epi, when non-nil, runs once per scheduler tile after the tile's
 // output rectangle is complete (see TileEpilogue). Epilogues are not
 // supported on the triangular (upperOnly) grids — no caller needs them
@@ -140,7 +131,7 @@ func FusedEpilogueRuns() uint64 { return fusedEpilogueRuns.Load() }
 // the calling goroutine (no closures, no allocations — the ALM inner
 // loop's zero-alloc pin depends on this); larger ones draw tiles from
 // the persistent pool.
-func gemmMain(dst *Dense, m, n, k int, av aView, bdata []float64, bRow, bCol int, upperOnly, colExact bool, epi TileEpilogue) {
+func gemmMain(dst *Dense, m, n, k int, av aView, bdata []float64, bRow, bCol int, upperOnly bool, epi TileEpilogue) {
 	if epi != nil {
 		if upperOnly {
 			panic("mat: tile epilogue on a triangular grid")
@@ -178,7 +169,7 @@ func gemmMain(dst *Dense, m, n, k int, av aView, bdata []float64, bRow, bCol int
 	tR := (m + gemmTileRows - 1) / gemmTileRows
 	tC := (nPanels + tilePanels - 1) / tilePanels
 	cd, ldc := dst.data, dst.cols
-	sel := selectKernels(colExact)
+	sel := selectKernels()
 	if parallel {
 		forEachTile(tR*tC, func(t int) {
 			gemmTileRun(t, cd, ldc, m, n, k, av, packed, upperOnly, tC, sel, epi)
@@ -195,11 +186,11 @@ func gemmMain(dst *Dense, m, n, k int, av aView, bdata []float64, bRow, bCol int
 // [r0,r1) × panels [p0,p1). sel holds the selected assembly kernels —
 // kern8 for 8-row blocks (the AVX-512 tier), kern4 for 4-row blocks —
 // or nils to use the scalar kernels throughout. Row ranges shorter than
-// a kernel's height fall through to the next narrower kernel of the same
-// rounding class, so which rows run fused-FMA vs scalar arithmetic is a
-// function of the shape alone, identical in every asm family — the
-// property that keeps the tiers bit-compatible. epi, when
-// non-nil, runs after the tile completes with its output rectangle.
+// a kernel's height fall through to the next narrower kernel, so which
+// rows run fused-FMA vs scalar arithmetic is a function of the shape
+// alone, identical in every asm tier — the property that keeps the
+// tiers bit-compatible. epi, when non-nil, runs after the tile
+// completes with its output rectangle.
 //
 //lrm:noalloc — the kernel dispatch: one scheduler tile, stack state only
 func gemmTileRun(t int, cd []float64, ldc, m, n, k int, av aView, packed []float64, upperOnly bool, tC int, sel kernelSel, epi TileEpilogue) {
@@ -334,7 +325,7 @@ func gemmDirect(dst *Dense, m, n, k int, av aView, bdata []float64) bool {
 	if m <= 0 || m > gemmTileRows || n%gemmNR != 0 || k <= 0 || !serialWork(m*n*k) {
 		return false
 	}
-	sel := selectKernels(false)
+	sel := selectKernels()
 	if sel.kern4 == nil {
 		return false
 	}

@@ -12,14 +12,6 @@ func xgetbv0() (eax, edx uint32)
 //go:noescape
 func gemmKernel4x8(k int64, a *float64, aRowStride, aKStride int64, bp *float64, bKStride int64, c *float64, cRowStride int64)
 
-// gemmKernelMulAdd4x8 is the column-exact micro-kernel in gemm_amd64.s:
-// same tile, separate multiply and add per step (no fusion), so its
-// results match the scalar kernels and MulVecTo bit for bit. It must
-// only be called when gemmUseAsm is true.
-//
-//go:noescape
-func gemmKernelMulAdd4x8(k int64, a *float64, aRowStride, aKStride int64, bp *float64, bKStride int64, c *float64, cRowStride int64)
-
 // detectAVX2FMA reports whether the CPU and OS support the AVX2+FMA
 // micro-kernel: AVX + FMA + AVX2 in CPUID, and XMM/YMM state enabled in
 // XCR0 (the OS must save the wide registers across context switches).

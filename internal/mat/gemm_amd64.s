@@ -99,79 +99,3 @@ store:
 	VMOVUPD Y7, 32(DI)(R11*1)
 	VZEROUPPER
 	RET
-
-// func gemmKernelMulAdd4x8(k int64, a *float64, aRowStride, aKStride int64, bp *float64, bKStride int64, c *float64, cRowStride int64)
-//
-// The column-exact sibling of gemmKernel4x8: identical addressing and
-// tile shape, but each accumulation step is a separate VMULPD + VADDPD
-// instead of a fused multiply-add — product rounded, then sum rounded,
-// in ascending t. That is bit-for-bit the arithmetic of the scalar
-// kernels and of a MulVecTo dot product, which is the whole point: the
-// multi-RHS answering path (MulColsTo) must reproduce per-column
-// mat-vec results exactly, and the FMA kernel's single rounding per step
-// would not. Costs one extra µop per madd; still vectorized, packed and
-// register-blocked like the FMA kernel.
-TEXT ·gemmKernelMulAdd4x8(SB), NOSPLIT, $0-64
-	MOVQ k+0(FP), CX
-	MOVQ a+8(FP), SI
-	MOVQ aRowStride+16(FP), R8
-	MOVQ aKStride+24(FP), R12
-	MOVQ bp+32(FP), DX
-	MOVQ bKStride+40(FP), R13
-	MOVQ c+48(FP), DI
-	MOVQ cRowStride+56(FP), R10
-
-	LEAQ (R8)(R8*2), R9   // 3·aRowStride
-	LEAQ (R10)(R10*2), R11 // 3·cRowStride
-
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-	VXORPD Y2, Y2, Y2
-	VXORPD Y3, Y3, Y3
-	VXORPD Y4, Y4, Y4
-	VXORPD Y5, Y5, Y5
-	VXORPD Y6, Y6, Y6
-	VXORPD Y7, Y7, Y7
-
-	TESTQ CX, CX
-	JZ    storeMulAdd
-
-loopMulAdd:
-	VMOVUPD (DX), Y8               // B(t, 0:4)
-	VMOVUPD 32(DX), Y9             // B(t, 4:8)
-	VBROADCASTSD (SI), Y10         // A(0,t)
-	VMULPD  Y8, Y10, Y11
-	VADDPD  Y11, Y0, Y0
-	VMULPD  Y9, Y10, Y12
-	VADDPD  Y12, Y1, Y1
-	VBROADCASTSD (SI)(R8*1), Y13   // A(1,t)
-	VMULPD  Y8, Y13, Y14
-	VADDPD  Y14, Y2, Y2
-	VMULPD  Y9, Y13, Y15
-	VADDPD  Y15, Y3, Y3
-	VBROADCASTSD (SI)(R8*2), Y10   // A(2,t)
-	VMULPD  Y8, Y10, Y11
-	VADDPD  Y11, Y4, Y4
-	VMULPD  Y9, Y10, Y12
-	VADDPD  Y12, Y5, Y5
-	VBROADCASTSD (SI)(R9*1), Y13   // A(3,t)
-	VMULPD  Y8, Y13, Y14
-	VADDPD  Y14, Y6, Y6
-	VMULPD  Y9, Y13, Y15
-	VADDPD  Y15, Y7, Y7
-	ADDQ R12, SI
-	ADDQ R13, DX
-	DECQ CX
-	JNZ  loopMulAdd
-
-storeMulAdd:
-	VMOVUPD Y0, (DI)
-	VMOVUPD Y1, 32(DI)
-	VMOVUPD Y2, (DI)(R10*1)
-	VMOVUPD Y3, 32(DI)(R10*1)
-	VMOVUPD Y4, (DI)(R10*2)
-	VMOVUPD Y5, 32(DI)(R10*2)
-	VMOVUPD Y6, (DI)(R11*1)
-	VMOVUPD Y7, 32(DI)(R11*1)
-	VZEROUPPER
-	RET

@@ -13,16 +13,6 @@ package mat
 //go:noescape
 func gemmKernel4x8(k int64, a *float64, aRowStride, aKStride int64, bp *float64, bKStride int64, c *float64, cRowStride int64)
 
-// gemmKernelMulAdd4x8 is the column-exact NEON micro-kernel: same tile,
-// but every accumulation step rounds the product and the sum separately
-// — matching the scalar kernels and MulVecTo dot products bit for bit.
-// The Go assembler exposes no vector FMUL/FADD for arm64, so the kernel
-// synthesizes separate rounding from two VFMLA steps (see gemm_arm64.s).
-// It must only be called when gemmUseAsm is true.
-//
-//go:noescape
-func gemmKernelMulAdd4x8(k int64, a *float64, aRowStride, aKStride int64, bp *float64, bKStride int64, c *float64, cRowStride int64)
-
 // gemmUseAsm gates the assembly micro-kernel. ASIMD is architecturally
 // baseline on arm64 — there is nothing to detect — but this stays a
 // variable so tests can force the scalar fallback and check both paths

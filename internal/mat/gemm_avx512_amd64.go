@@ -13,14 +13,6 @@ import "os"
 //go:noescape
 func gemmKernel8x8(k int64, a *float64, aRowStride, aKStride int64, bp *float64, bKStride int64, c *float64, cRowStride int64)
 
-// gemmKernelMulAdd8x8 is the column-exact AVX-512 micro-kernel: same
-// tile, separate multiply and add per step (VMULPD + VADDPD, no fusion),
-// rounding exactly like the scalar kernels and MulVecTo dot products. It
-// must only be called when gemmUseAVX512 is true.
-//
-//go:noescape
-func gemmKernelMulAdd8x8(k int64, a *float64, aRowStride, aKStride int64, bp *float64, bKStride int64, c *float64, cRowStride int64)
-
 // detectAVX512 reports whether the CPU and OS support the AVX-512
 // micro-kernels: AVX512F + AVX512DQ in CPUID leaf 7, and XMM/YMM plus
 // opmask/ZMM state enabled in XCR0 (the OS must save the full 512-bit

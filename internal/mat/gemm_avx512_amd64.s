@@ -1,9 +1,9 @@
-// AVX-512 micro-kernels for the packed GEMM layer (gemm.go). Selected at
-// runtime per product shape by the kernel-family dispatcher
-// (gemmdispatch.go) when CPUID reports AVX512F+AVX512DQ and XCR0 has the
-// opmask/ZMM state enabled (gemm_avx512_amd64.go); the build itself
-// stays at the GOAMD64=v1 baseline. The noavx512 build tag compiles
-// these kernels out, mirroring the noasm tag one tier down.
+// AVX-512 micro-kernel for the packed GEMM layer (gemm.go). Selected at
+// runtime by the kernel-tier choice (gemmtier.go) when CPUID reports
+// AVX512F+AVX512DQ and XCR0 has the opmask/ZMM state enabled
+// (gemm_avx512_amd64.go); the build itself stays at the GOAMD64=v1
+// baseline. The noavx512 build tag compiles the kernel out, mirroring
+// the noasm tag one tier down.
 
 //go:build amd64 && !noasm && !noavx512
 
@@ -68,78 +68,6 @@ loop8:
 	JNZ  loop8
 
 store8:
-	VMOVUPD Z0, (DI)
-	VMOVUPD Z1, (DI)(R10*1)
-	VMOVUPD Z2, (DI)(R10*2)
-	VMOVUPD Z3, (DI)(R11*1)
-	LEAQ (DI)(R10*4), DI
-	VMOVUPD Z4, (DI)
-	VMOVUPD Z5, (DI)(R10*1)
-	VMOVUPD Z6, (DI)(R10*2)
-	VMOVUPD Z7, (DI)(R11*1)
-	VZEROUPPER
-	RET
-
-// func gemmKernelMulAdd8x8(k int64, a *float64, aRowStride, aKStride int64, bp *float64, bKStride int64, c *float64, cRowStride int64)
-//
-// The column-exact sibling of gemmKernel8x8: identical addressing and
-// tile shape, but each accumulation step is a separate VMULPD + VADDPD
-// instead of a fused multiply-add — product rounded, then sum rounded,
-// in ascending t. Bit-for-bit the arithmetic of the scalar kernels, of
-// gemmKernelMulAdd4x8, and of a MulVecTo dot product, so the multi-RHS
-// answering path (MulColsTo) reproduces per-column mat-vec results
-// exactly on every kernel tier.
-TEXT ·gemmKernelMulAdd8x8(SB), NOSPLIT, $0-64
-	MOVQ k+0(FP), CX
-	MOVQ a+8(FP), SI
-	MOVQ aRowStride+16(FP), R8
-	MOVQ aKStride+24(FP), R12
-	MOVQ bp+32(FP), DX
-	MOVQ bKStride+40(FP), R13
-	MOVQ c+48(FP), DI
-	MOVQ cRowStride+56(FP), R10
-
-	LEAQ (R8)(R8*2), R9       // 3·aRowStride
-	LEAQ (R8)(R8*4), R14      // 5·aRowStride
-	LEAQ (R9)(R8*4), R15      // 7·aRowStride
-	LEAQ (R10)(R10*2), R11    // 3·cRowStride
-
-	VXORPD Z0, Z0, Z0
-	VXORPD Z1, Z1, Z1
-	VXORPD Z2, Z2, Z2
-	VXORPD Z3, Z3, Z3
-	VXORPD Z4, Z4, Z4
-	VXORPD Z5, Z5, Z5
-	VXORPD Z6, Z6, Z6
-	VXORPD Z7, Z7, Z7
-
-	TESTQ CX, CX
-	JZ    storeMulAdd8
-
-loopMulAdd8:
-	VMOVUPD (DX), Z8                  // B(t, 0:8)
-	VMULPD.BCST (SI), Z8, Z9          // A(0,t)
-	VADDPD Z9, Z0, Z0
-	VMULPD.BCST (SI)(R8*1), Z8, Z10   // A(1,t)
-	VADDPD Z10, Z1, Z1
-	VMULPD.BCST (SI)(R8*2), Z8, Z9    // A(2,t)
-	VADDPD Z9, Z2, Z2
-	VMULPD.BCST (SI)(R9*1), Z8, Z10   // A(3,t)
-	VADDPD Z10, Z3, Z3
-	VMULPD.BCST (SI)(R8*4), Z8, Z9    // A(4,t)
-	VADDPD Z9, Z4, Z4
-	VMULPD.BCST (SI)(R14*1), Z8, Z10  // A(5,t)
-	VADDPD Z10, Z5, Z5
-	VMULPD.BCST (SI)(R9*2), Z8, Z9    // A(6,t)
-	VADDPD Z9, Z6, Z6
-	VMULPD.BCST (SI)(R15*1), Z8, Z10  // A(7,t)
-	VADDPD Z10, Z7, Z7
-	ADDQ R12, SI
-	ADDQ R13, DX
-	DECQ CX
-	JNZ  loopMulAdd8
-
-storeMulAdd8:
 	VMOVUPD Z0, (DI)
 	VMOVUPD Z1, (DI)(R10*1)
 	VMOVUPD Z2, (DI)(R10*2)

@@ -16,9 +16,3 @@ const gemmArchFamily = famScalar
 func gemmKernel4x8(k int64, a *float64, aRowStride, aKStride int64, bp *float64, bKStride int64, c *float64, cRowStride int64) {
 	panic("mat: gemmKernel4x8 called without assembly support")
 }
-
-// gemmKernelMulAdd4x8 is never called when gemmUseAsm is false; this
-// stub only satisfies the compiler.
-func gemmKernelMulAdd4x8(k int64, a *float64, aRowStride, aKStride int64, bp *float64, bKStride int64, c *float64, cRowStride int64) {
-	panic("mat: gemmKernelMulAdd4x8 called without assembly support")
-}

@@ -13,9 +13,3 @@ var gemmUseAVX512 = false
 func gemmKernel8x8(k int64, a *float64, aRowStride, aKStride int64, bp *float64, bKStride int64, c *float64, cRowStride int64) {
 	panic("mat: gemmKernel8x8 called without AVX-512 support")
 }
-
-// gemmKernelMulAdd8x8 is never called when gemmUseAVX512 is false; this
-// stub only satisfies the compiler.
-func gemmKernelMulAdd8x8(k int64, a *float64, aRowStride, aKStride int64, bp *float64, bKStride int64, c *float64, cRowStride int64) {
-	panic("mat: gemmKernelMulAdd8x8 called without AVX-512 support")
-}

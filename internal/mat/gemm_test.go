@@ -151,10 +151,10 @@ func TestGEMMSchedulingInvariance(t *testing.T) {
 		// hardware) the 8-row tier with its 4-row fallback.
 		sels := []kernelSel{{}}
 		if gemmUseAsm {
-			sels = append(sels, famKernels(gemmArchFamily, false))
+			sels = append(sels, famKernels(gemmArchFamily))
 		}
 		if gemmUseAVX512 {
-			sels = append(sels, famKernels(famAVX512, false))
+			sels = append(sels, famKernels(famAVX512))
 		}
 		for _, sel := range sels {
 			ref := New(sh.m, sh.n)

@@ -33,7 +33,7 @@ func TestGEMMDirectBitIdentity(t *testing.T) {
 					a := randDenseSeed(t, m, k, int64(11*m+k))
 					want := New(m, n)
 					gemmMain(want, m, n, k, aView{data: a.data, row: a.cols, k: 1},
-						b.data, b.cols, 1, false, false, nil)
+						b.data, b.cols, 1, false, nil)
 					// The pack-free path needs an assembly family; the
 					// scalar kernels always pack.
 					got := New(m, n)
@@ -51,7 +51,7 @@ func TestGEMMDirectBitIdentity(t *testing.T) {
 					at := randDenseSeed(t, k, m, int64(13*m+k))
 					wantT := New(m, n)
 					gemmMain(wantT, m, n, k, aView{data: at.data, row: 1, k: at.cols},
-						b.data, b.cols, 1, false, false, nil)
+						b.data, b.cols, 1, false, nil)
 					if via := MulAtBTo(New(m, n), at, b); !via.Equal(wantT) {
 						t.Fatalf("%s: pack-free Aᵀ·B differs bitwise from the packed product", name)
 					}

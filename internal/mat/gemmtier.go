@@ -1,29 +1,26 @@
 package mat
 
-// Kernel tiers. The packed GEMM has one micro-kernel family per
-// instruction-set tier (AVX-512 8×8 and AVX2+FMA 4×8 on amd64, NEON 4×8
-// on arm64, scalar everywhere), and every product runs the widest tier
-// the host enables: a pure function of the two gates gemmUseAsm and
-// gemmUseAVX512, fixed at startup by CPU detection, the noasm/noavx512
-// build tags and the LRM_NOAVX512 environment variable.
+// Kernel tiers. The packed GEMM has one micro-kernel per instruction-set
+// tier (AVX-512 8×8 and AVX2+FMA 4×8 on amd64, NEON 4×8 on arm64, scalar
+// everywhere), and every product runs the widest tier the host enables:
+// a pure function of the two gates gemmUseAsm and gemmUseAVX512, fixed
+// at startup by CPU detection, the noasm/noavx512 build tags and the
+// LRM_NOAVX512 environment variable.
 //
-// Determinism across tiers: the asm families are bit-compatible by
-// construction, so a host running a narrower tier (no AVX-512, or
-// LRM_NOAVX512 set) answers, decomposes and restores caches with exactly
-// the bits of the AVX-512 default:
+// Determinism across tiers: every output element of an asm tier is one
+// FMA chain in ascending k. IEEE FMA lane arithmetic is width-independent,
+// and the 8-row tier reuses the 4-row kernel for row ranges shorter than
+// 8, so the set of rows handled by FMA vs the scalar row kernel is
+// identical in every asm tier (ranges of ≥4 rows are FMA, shorter ones
+// scalar). A host running a narrower tier (no AVX-512, or LRM_NOAVX512
+// set) therefore answers, decomposes and restores caches with exactly
+// the bits of the AVX-512 default.
 //
-//   - fused path: every output element is one FMA chain in ascending k.
-//     IEEE FMA lane arithmetic is width-independent, and the 8-row tier
-//     reuses the 4-row kernel of the same rounding class for row ranges
-//     shorter than 8, so the set of rows handled by FMA vs the scalar
-//     row kernel is identical in every asm family (ranges of ≥4 rows are
-//     FMA, shorter ones scalar).
-//   - column-exact path (MulColsTo): every family rounds each step as a
-//     separate multiply and add in ascending k — the dot-product
-//     rounding — so all families, scalar included, agree bitwise.
-//
-// The scalar family's fused path rounds differently; it runs only on
-// builds and hosts without asm kernels.
+// The scalar tier runs plain Go loops and rounds differently; it runs
+// only on builds and hosts without asm kernels. A mat-vec (MulVecTo) is
+// a plain dot product on every tier, so a multi-column product and the
+// loop of its per-column mat-vecs agree to within floating-point
+// rounding, not bit for bit.
 
 // gemmFamilyID enumerates the micro-kernel tiers.
 type gemmFamilyID int
@@ -61,29 +58,20 @@ type kernelSel struct {
 	kern4 gemmAsmKernel
 }
 
-// famKernels maps a family and rounding class to its kernel pair.
-func famKernels(fam gemmFamilyID, colExact bool) kernelSel {
+// famKernels maps a tier to its kernel pair.
+func famKernels(fam gemmFamilyID) kernelSel {
 	switch fam {
 	case famAVX512:
-		if colExact {
-			return kernelSel{kern8: gemmKernelMulAdd8x8, kern4: gemmKernelMulAdd4x8}
-		}
 		return kernelSel{kern8: gemmKernel8x8, kern4: gemmKernel4x8}
 	case famAVX2, famNEON:
-		if colExact {
-			return kernelSel{kern4: gemmKernelMulAdd4x8}
-		}
 		return kernelSel{kern4: gemmKernel4x8}
 	default:
 		return kernelSel{}
 	}
 }
 
-// selectKernels returns the widest enabled tier's kernels for the given
-// rounding class.
-func selectKernels(colExact bool) kernelSel {
-	return famKernels(gemmBestFamily(), colExact)
-}
+// selectKernels returns the widest enabled tier's kernels.
+func selectKernels() kernelSel { return famKernels(gemmBestFamily()) }
 
 // KernelTier returns the kernel family every product runs on this host:
 // the widest tier enabled.

@@ -141,6 +141,50 @@ func MulTo(dst, a, b *Dense) *Dense {
 	return dst
 }
 
+// MulEpiTo stores the product a·b into dst, like MulTo, and runs epi
+// (when non-nil) once per scheduler tile as soon as that tile's output
+// rectangle is complete, while the block is still cache-hot, instead of
+// the caller making a second sweep over dst afterwards. Across the
+// product the epilogue observes every element of dst exactly once (the
+// tile grid partitions the output); it may run concurrently for disjoint
+// rectangles and on any goroutine, so it must not assume order. An
+// epilogue that applies a per-element update whose value does not depend
+// on tile order (adding a precomputed noise matrix, scaling) keeps the
+// result bit-identical across worker counts. This is how
+// core.Mechanism.AnswerMany fuses its Laplace-noise pass into the GEMM
+// that produces the intermediate.
+//
+// A single-column b runs as MulVecTo instead of a GEMM panel padded to
+// eight columns, so a one-column product is bitwise the mat-vec the
+// single-vector answer paths compute; the epilogue then runs once over
+// the whole m×1 result and still counts as one fused product. Wider
+// products run the tier's GEMM kernel, so column j equals MulVecTo of
+// b's column j to within floating-point rounding.
+//
+// dst must not alias a or b, and must already be a.Rows()×b.Cols().
+func MulEpiTo(dst, a, b *Dense, epi TileEpilogue) *Dense {
+	if a.cols != b.rows {
+		dimPanic("MulEpiTo", a, b)
+	}
+	checkShape("MulEpiTo", dst, a.rows, b.cols)
+	noAlias("MulEpiTo", dst, a)
+	noAlias("MulEpiTo", dst, b)
+	if b.cols == 1 {
+		MulVecTo(dst.data, a, b.data)
+		if epi != nil {
+			fusedEpilogueRuns.Add(1)
+			if a.rows > 0 {
+				epi(0, a.rows, 0, 1)
+			}
+		}
+		return dst
+	}
+	gemmMain(dst, a.rows, b.cols, a.cols,
+		aView{data: a.data, row: a.cols, k: 1},
+		b.data, b.cols, 1, false, epi)
+	return dst
+}
+
 // MulABtTo stores a·bᵀ into dst without materializing the transpose.
 // dst must not alias a or b.
 func MulABtTo(dst, a, b *Dense) *Dense {
@@ -263,17 +307,16 @@ func zero(x []float64) {
 	}
 }
 
-// Workspace is a free-list of Dense buffers and float64 slices for code
-// that needs shape-varying scratch across many iterations. Get hands out
-// a zeroed matrix, reusing the smallest retired buffer with enough
-// capacity; Put retires a buffer for reuse. Fixed-shape loops (like the
+// Workspace is a free-list of Dense buffers for code that needs
+// shape-varying scratch across many iterations. Get hands out a zeroed
+// matrix, reusing the smallest retired buffer with enough capacity; Put
+// retires a buffer for reuse. Fixed-shape loops (like the
 // ALM in internal/core, which names each of its buffers once) don't need
 // it; it is the generic entry point for loops whose scratch shapes vary
 // call to call. A Workspace is not safe for concurrent use — it is meant
 // to be owned by one solver loop (give each goroutine its own).
 type Workspace struct {
 	mats []*Dense
-	vecs [][]float64
 }
 
 // NewWorkspace returns an empty workspace.
@@ -310,34 +353,4 @@ func (ws *Workspace) Put(m *Dense) {
 		return
 	}
 	ws.mats = append(ws.mats, m)
-}
-
-// GetVec returns a zeroed length-n slice, reusing retired capacity when
-// possible.
-func (ws *Workspace) GetVec(n int) []float64 {
-	best := -1
-	for i, v := range ws.vecs {
-		if cap(v) >= n && (best < 0 || cap(v) < cap(ws.vecs[best])) {
-			best = i
-		}
-	}
-	if best < 0 {
-		return make([]float64, n)
-	}
-	v := ws.vecs[best][:n]
-	last := len(ws.vecs) - 1
-	ws.vecs[best] = ws.vecs[last]
-	ws.vecs[last] = nil
-	ws.vecs = ws.vecs[:last]
-	zero(v)
-	return v
-}
-
-// PutVec retires a slice obtained from GetVec. The caller must not use v
-// afterwards.
-func (ws *Workspace) PutVec(v []float64) {
-	if cap(v) == 0 {
-		return
-	}
-	ws.vecs = append(ws.vecs, v)
 }

@@ -253,20 +253,6 @@ func TestWorkspaceReuse(t *testing.T) {
 	if &small.RawData()[0] != backing {
 		t.Error("Get did not prefer the smallest adequate buffer")
 	}
-
-	v := ws.GetVec(8)
-	if len(v) != 8 {
-		t.Fatalf("GetVec length %d, want 8", len(v))
-	}
-	v[0] = 3
-	ws.PutVec(v)
-	v2 := ws.GetVec(4)
-	if &v2[0] != &v[0] {
-		t.Error("GetVec did not reuse retired capacity")
-	}
-	if v2[0] != 0 {
-		t.Error("reissued vector not zeroed")
-	}
 }
 
 // TestSolveRightSPDTo checks the allocation-free solve against the

@@ -68,21 +68,6 @@ func MaxColAbsSum(a *Dense) float64 {
 	return best
 }
 
-// MaxRowAbsSum returns max_i Σⱼ |aᵢⱼ|, the induced L∞ operator norm.
-func MaxRowAbsSum(a *Dense) float64 {
-	var best float64
-	for i := 0; i < a.rows; i++ {
-		var s float64
-		for _, v := range a.RawRow(i) {
-			s += math.Abs(v)
-		}
-		if s > best {
-			best = s
-		}
-	}
-	return best
-}
-
 // MaxAbs returns max |aᵢⱼ|.
 func MaxAbs(a *Dense) float64 {
 	var best float64

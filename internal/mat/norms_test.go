@@ -45,16 +45,6 @@ func TestMaxColAbsSum(t *testing.T) {
 	}
 }
 
-func TestMaxRowAbsSum(t *testing.T) {
-	a := FromRows([][]float64{
-		{1, -2, 0},
-		{-1, 3, 0.5},
-	})
-	if got := MaxRowAbsSum(a); got != 4.5 {
-		t.Fatalf("MaxRowAbsSum = %v, want 4.5", got)
-	}
-}
-
 func TestMaxAbs(t *testing.T) {
 	a := FromRows([][]float64{{1, -7}, {3, 2}})
 	if got := MaxAbs(a); got != 7 {

@@ -133,34 +133,3 @@ func orthonormalize(a *Dense) *Dense {
 	}
 	return out
 }
-
-// RandomizedRank estimates the numerical rank of a by randomized SVD
-// probing up to maxRank components: the count of singular values above
-// the same relative tolerance the exact Rank uses. It is exact with high
-// probability when the true rank is at most maxRank; otherwise it
-// saturates at maxRank, which callers should treat as "at least".
-func RandomizedRank(a *Dense, maxRank int, seed int64) (int, error) {
-	m, n := a.Dims()
-	if m == 0 || n == 0 {
-		return 0, nil
-	}
-	s, err := RandSVD(a, maxRank, RandSVDOptions{Seed: seed})
-	if err != nil {
-		return 0, err
-	}
-	if len(s.S) == 0 || s.S[0] == 0 {
-		return 0, nil
-	}
-	maxDim := m
-	if n > maxDim {
-		maxDim = n
-	}
-	tol := float64(maxDim) * s.S[0] * 1e-12
-	r := 0
-	for _, v := range s.S {
-		if v > tol {
-			r++
-		}
-	}
-	return r, nil
-}

@@ -128,46 +128,6 @@ func TestRandSVDDeterministicInSeed(t *testing.T) {
 	}
 }
 
-func TestRandomizedRankMatchesExact(t *testing.T) {
-	src := rng.New(11)
-	for _, r := range []int{1, 3, 7} {
-		a := lowRank(40, 25, r, src)
-		got, err := RandomizedRank(a, 12, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != Rank(a) || got != r {
-			t.Fatalf("rank %d: randomized %d exact %d", r, got, Rank(a))
-		}
-	}
-}
-
-func TestRandomizedRankSaturates(t *testing.T) {
-	src := rng.New(12)
-	a := lowRank(30, 30, 20, src)
-	got, err := RandomizedRank(a, 5, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 5 {
-		t.Fatalf("probing 5 components of a rank-20 matrix should saturate at 5, got %d", got)
-	}
-}
-
-func TestRandomizedRankZeroMatrix(t *testing.T) {
-	got, err := RandomizedRank(New(8, 8), 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 0 {
-		t.Fatalf("zero matrix rank %d", got)
-	}
-	got, err = RandomizedRank(New(0, 5), 4, 1)
-	if err != nil || got != 0 {
-		t.Fatalf("empty matrix: %d, %v", got, err)
-	}
-}
-
 func TestOrthonormalizeDropsDependentColumns(t *testing.T) {
 	// Two identical columns: the second must be zeroed, not NaN.
 	a := FromRows([][]float64{{1, 1}, {2, 2}, {3, 3}})

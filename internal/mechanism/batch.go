@@ -11,8 +11,10 @@ import (
 // AnswerMany is the universal multi-RHS answering entry point: it routes
 // through the Prepared's own BatchAnswerer implementation when it has one
 // and otherwise falls back to answering column by column. Either way the
-// result is bit-identical to looping Answer over the columns of x with
-// the same source (the BatchAnswerer contract; the fallback is that loop).
+// result draws the noise that looping Answer over the columns of x with
+// the same source draws, in the same order, and equals that loop to
+// within floating-point rounding (the BatchAnswerer contract; the
+// fallback is that loop).
 //
 // x is n×B — one histogram per column — and the result is m×B.
 func AnswerMany(p Prepared, x *mat.Dense, eps privacy.Epsilon, src *rng.Source) (*mat.Dense, error) {
@@ -28,7 +30,8 @@ func AnswerMany(p Prepared, x *mat.Dense, eps privacy.Epsilon, src *rng.Source) 
 // AnswerManyLoop answers the columns of x one at a time through
 // p.Answer, stacking the releases as columns of the result. It is the
 // fallback for mechanisms without a native multi-RHS path and the
-// reference semantics every BatchAnswerer must reproduce exactly.
+// reference every BatchAnswerer must reproduce: the same noise draws in
+// the same order, each column equal to within floating-point rounding.
 func AnswerManyLoop(p Prepared, x *mat.Dense, eps privacy.Epsilon, src *rng.Source) (*mat.Dense, error) {
 	if err := eps.Validate(); err != nil {
 		return nil, err
@@ -58,8 +61,7 @@ func AnswerManyLoop(p Prepared, x *mat.Dense, eps privacy.Epsilon, src *rng.Sour
 // addLaplaceNoiseCols perturbs the r×B matrix y in place with Laplace
 // noise of scale sensitivity/ε, drawing column by column in ascending
 // column order — the draw order a loop of per-column Answer calls sharing
-// one source would produce, which the BatchAnswerer bit-identity contract
-// requires. The gather/scatter through buf keeps the draws flowing
+// one source would produce, which the BatchAnswerer contract requires. The gather/scatter through buf keeps the draws flowing
 // through the exact same privacy.AddLaplaceNoise code path (scale
 // computation, validation) as the single-vector answering paths.
 //

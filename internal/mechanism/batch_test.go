@@ -1,6 +1,7 @@
 package mechanism
 
 import (
+	"math"
 	"testing"
 
 	"lrm/internal/mat"
@@ -20,9 +21,14 @@ func histogramMatrix(n, b int, src *rng.Source) *mat.Dense {
 
 // TestAnswerManyBitIdenticalToLoop is the BatchAnswerer contract test:
 // for every mechanism in the repository, AnswerMany over an n×B data
-// matrix must release exactly — bit for bit — what looping Answer over
-// the columns with an identically seeded source releases. Batch widths
-// cover the single-column case, a partial GEMM panel, and a full one.
+// matrix must draw the noise that looping Answer over the columns with an
+// identically seeded source draws, in the same order. A one-column batch
+// is bit-identical to the loop, the same seed gives the same bits on a
+// repeat, and each column of a wider batch equals the loop's to within
+// floating-point rounding. The rounding bound sits far below the noise
+// each release carries, and a release whose draws are assigned to the
+// columns in a different order must fall outside it. Batch widths cover
+// the single-column case, a partial GEMM panel, and a full one.
 func TestAnswerManyBitIdenticalToLoop(t *testing.T) {
 	src := rng.New(1)
 	const m, n = 6, 32
@@ -47,12 +53,69 @@ func TestAnswerManyBitIdenticalToLoop(t *testing.T) {
 				if got.Rows() != m || got.Cols() != batch {
 					t.Fatalf("B=%d: result is %d×%d, want %d×%d", batch, got.Rows(), got.Cols(), m, batch)
 				}
-				if !got.Equal(want) {
-					t.Fatalf("B=%d: AnswerMany differs bitwise from looping Answer per column", batch)
+				again, err := AnswerMany(p, x, 1, rng.New(77))
+				if err != nil {
+					t.Fatalf("B=%d: repeat: %v", batch, err)
+				}
+				if !again.Equal(got) {
+					t.Fatalf("B=%d: the same seed released different bits on a repeat", batch)
+				}
+				if batch == 1 && !got.Equal(want) {
+					t.Fatal("B=1: AnswerMany differs bitwise from Answer")
+				}
+				if i, j, ok := withinRounding(got, want); !ok {
+					t.Fatalf("B=%d: column %d row %d = %v, looping Answer says %v", batch, j, i, got.At(i, j), want.At(i, j))
+				}
+				// The largest bound withinRounding applies, against the RMS
+				// noise the release carries over the exact answers.
+				tol := 1e-12 * math.Max(1, mat.MaxAbs(want))
+				noise := mat.FrobeniusDist(want, mat.Mul(w.W, x)) / math.Sqrt(float64(m*batch))
+				if tol >= 1e-6*noise {
+					t.Fatalf("B=%d: rounding bound %g is not far below the release noise %g", batch, tol, noise)
+				}
+				if batch > 1 {
+					if _, _, ok := withinRounding(reversedDraws(t, p, x), want); ok {
+						t.Fatalf("B=%d: a release with its noise draws reordered passes the rounding bound", batch)
+					}
 				}
 			}
 		})
 	}
+}
+
+// withinRounding reports whether every element of got equals want to
+// within 1e-12·max(1, |want|), and the first element that does not.
+func withinRounding(got, want *mat.Dense) (row, col int, ok bool) {
+	for i := 0; i < want.Rows(); i++ {
+		for j := 0; j < want.Cols(); j++ {
+			g, w := got.At(i, j), want.At(i, j)
+			if math.Abs(g-w) > 1e-12*math.Max(1, math.Abs(w)) {
+				return i, j, false
+			}
+		}
+	}
+	return 0, 0, true
+}
+
+// reversedDraws loops Answer over the columns of x in reverse order with
+// the contract's seed and stacks the releases back in column order: the
+// same draws as the contract's loop, assigned to different columns.
+func reversedDraws(t *testing.T, p Prepared, x *mat.Dense) *mat.Dense {
+	t.Helper()
+	b := x.Cols()
+	rev := mat.New(x.Rows(), b)
+	for j := 0; j < b; j++ {
+		rev.SetCol(j, x.Col(b-1-j))
+	}
+	y, err := AnswerManyLoop(p, rev, 1, rng.New(77))
+	if err != nil {
+		t.Fatalf("reversed loop: %v", err)
+	}
+	out := mat.New(y.Rows(), b)
+	for j := 0; j < b; j++ {
+		out.SetCol(j, y.Col(b-1-j))
+	}
+	return out
 }
 
 // TestAnswerManyNativeImplementations pins which mechanisms carry a real

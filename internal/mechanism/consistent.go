@@ -70,7 +70,7 @@ func (p *consistentPrepared) Answer(x []float64, eps privacy.Epsilon, src *rng.S
 // its own multi-RHS path when it has one (the generic AnswerMany entry
 // point falls back to a per-column loop otherwise), then each column is
 // projected with the same pooled ApplyTo kernel Answer uses — so the
-// batch is bit-identical to looping Answer either way.
+// batch meets the BatchAnswerer contract whenever its base does.
 func (p *consistentPrepared) AnswerMany(x *mat.Dense, eps privacy.Epsilon, src *rng.Source) (*mat.Dense, error) {
 	if err := eps.Validate(); err != nil {
 		return nil, err

@@ -52,7 +52,7 @@ func (p *laplaceDataPrepared) AnswerMany(x *mat.Dense, eps privacy.Epsilon, src 
 	if err := addLaplaceNoiseCols(noisy, 1, eps, src); err != nil {
 		return nil, err
 	}
-	return mat.MulColsTo(mat.New(p.w.Queries(), x.Cols()), p.w.W, noisy), nil
+	return mat.MulEpiTo(mat.New(p.w.Queries(), x.Cols()), p.w.W, noisy, nil), nil
 }
 
 func (p *laplaceDataPrepared) ExpectedSSE(eps privacy.Epsilon) float64 {
@@ -95,7 +95,7 @@ func (p *laplaceResultsPrepared) AnswerMany(x *mat.Dense, eps privacy.Epsilon, s
 	if err := checkBatchShape(x, p.w.Domain()); err != nil {
 		return nil, err
 	}
-	out := mat.MulColsTo(mat.New(p.w.Queries(), x.Cols()), p.w.W, x)
+	out := mat.MulEpiTo(mat.New(p.w.Queries(), x.Cols()), p.w.W, x, nil)
 	if err := addLaplaceNoiseCols(out, p.delta, eps, src); err != nil {
 		return nil, err
 	}

@@ -36,21 +36,24 @@ type Prepared interface {
 // BatchAnswerer is the optional multi-RHS extension of Prepared: a
 // mechanism whose answering cost is dominated by dense matrix-vector
 // products can answer a whole batch of data vectors through one packed
-// multi-RHS product (mat.MulColsTo) instead of a loop of mat-vecs, which
+// multi-RHS product (mat.MulEpiTo) instead of a loop of mat-vecs, which
 // is where the paper's "optimize once, answer a batch" framing actually
 // pays at serving scale.
 //
-// The contract is strict: AnswerMany(X, eps, src) must release exactly
-// what the loop
+// The contract: AnswerMany(X, eps, src) draws exactly the noise the loop
 //
 //	for j := range columns of X { Answer(X column j, eps, src) }
 //
-// would release with the same source — bit for bit, noise draws in the
-// same order. Callers (the engine's batched path, the contract tests)
-// rely on batching being a pure throughput optimization, never a
-// semantic change. Implementations get this by computing their dense
-// products with mat.MulColsTo (column-exact by construction) and drawing
-// per-column noise in ascending column order.
+// would draw with the same source, in the same order, and each released
+// column equals the loop's to within floating-point rounding. The GEMM
+// kernel may round a product differently from the loop's mat-vec; every
+// product after the noise is post-processing, so that never touches the
+// ε-DP guarantee. A single-column batch is bit-identical to Answer, and
+// the same source state gives the same bits on every call. Callers (the
+// engine's batched path, the contract tests) rely on batching being a
+// throughput optimization, never a change in the noise released.
+// Implementations get this by computing their dense products with
+// mat.MulEpiTo and drawing per-column noise in ascending column order.
 type BatchAnswerer interface {
 	// AnswerMany releases private answers for the n×B matrix X whose
 	// columns are B histograms, returning the m×B matrix whose columns

@@ -61,12 +61,12 @@ func (p *StrategyPrepared) AnswerMany(x *mat.Dense, eps privacy.Epsilon, src *rn
 		return nil, err
 	}
 	cols := x.Cols()
-	noisy := mat.MulColsTo(mat.New(p.a.Rows(), cols), p.a, x)
+	noisy := mat.MulEpiTo(mat.New(p.a.Rows(), cols), p.a, x, nil)
 	if err := addLaplaceNoiseCols(noisy, p.delta, eps, src); err != nil {
 		return nil, err
 	}
-	xhat := mat.MulColsTo(mat.New(p.apinv.Rows(), cols), p.apinv, noisy)
-	return mat.MulColsTo(mat.New(p.w.Queries(), cols), p.w.W, xhat), nil
+	xhat := mat.MulEpiTo(mat.New(p.apinv.Rows(), cols), p.apinv, noisy, nil)
+	return mat.MulEpiTo(mat.New(p.w.Queries(), cols), p.w.W, xhat, nil), nil
 }
 
 // ExpectedSSE implements Prepared: the error is W·A⁺·noise, so the SSE is
