@@ -5,7 +5,8 @@
 //
 //	aliasguard  in-place mat kernels must not alias dst with operands
 //	noalloc     //lrm:noalloc functions must stay allocation-free
-//	noiserand   noise randomness must come from internal/rng, unseeded
+//	noiserand   noise randomness must come from internal/rng, unseeded;
+//	            Laplace draws only through internal/privacy
 //	epshygiene  ε must be validated before release sinks; Spend errors checked
 //	detiter     no map-iteration order feeding numeric output
 //	noiseflow   raw data must pass a //lrm:sanitizer before any release sink

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"lrm/internal/mat"
+	"lrm/internal/privacy"
 	"lrm/internal/rng"
 	"lrm/internal/transform"
 )
@@ -61,19 +62,13 @@ func (s *Synopsis) Domain() int { return s.n }
 func (s *Synopsis) Sensitivity() float64 { return s.sens }
 
 // Compress returns the noisy ε-DP synopsis y = Φx + Lap(Δ/ε)^k.
-//
-//lrm:sanitizer — the measurements carry Laplace noise of scale Δ/ε
-func (s *Synopsis) Compress(x []float64, eps float64, src *rng.Source) ([]float64, error) {
+func (s *Synopsis) Compress(x []float64, eps privacy.Epsilon, src *rng.Source) ([]float64, error) {
 	if len(x) != s.n {
 		return nil, fmt.Errorf("compress: data length %d != domain %d", len(x), s.n)
 	}
-	if eps <= 0 {
-		return nil, fmt.Errorf("compress: epsilon must be positive, got %g", eps)
-	}
 	y := mat.MulVec(s.phi, x)
-	lam := s.sens / eps
-	for i := range y {
-		y[i] += src.Laplace(lam)
+	if err := privacy.AddLaplaceNoise(y, s.sens, eps, src); err != nil {
+		return nil, err
 	}
 	return y, nil
 }

@@ -36,7 +36,15 @@ func TestKronMulToMatchesDense(t *testing.T) {
 		src := rng.New(int64(100 + ci))
 		x := src.UniformVec(n, -2, 2)
 		want := mat.MulVec(dense, x)
-		got := mat.KronMulTo(make([]float64, m), factors, x, make([]float64, mat.KronScratchLen(factors)))
+		dims := make([][2]int, len(factors))
+		for i, f := range factors {
+			dims[i] = [2]int{f.Rows(), f.Cols()}
+		}
+		stage, err := mat.KronStages(dims)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := mat.KronMulTo(make([]float64, m), factors, x, make([]float64, 2*stage))
 		for i := range want {
 			if math.Abs(got[i]-want[i]) > 1e-12*(1+math.Abs(want[i])) {
 				t.Fatalf("case %d: KronMulTo[%d] = %g, dense %g", ci, i, got[i], want[i])

@@ -124,16 +124,14 @@ func (m *Mechanism) AnswerMany(x *mat.Dense, eps privacy.Epsilon, src *rng.Sourc
 // MulEpiTo contract.
 //
 // The noise buffer is column-major (column j at noise[j·r : (j+1)·r]) so
-// each pre-draw fills a contiguous slice in stream order.
+// one pre-draw over the whole block fills it in stream order.
 //
 //lrm:sanitizer y — every element of y is Laplace-perturbed before return
 func (m *Mechanism) noiseFusedProduct(y, x *mat.Dense, eps privacy.Epsilon, src *rng.Source) error {
 	r, cols := y.Rows(), y.Cols()
 	noise := make([]float64, r*cols)
-	for j := 0; j < cols; j++ {
-		if err := privacy.DrawLaplaceNoise(noise[j*r:(j+1)*r], m.delta, eps, src); err != nil {
-			return err
-		}
+	if err := privacy.DrawLaplaceNoise(noise, m.delta, eps, src); err != nil {
+		return err
 	}
 	yd, yc := y.RawData(), y.Cols()
 	mat.MulEpiTo(y, m.d.L, x, func(r0, r1, c0, c1 int) {

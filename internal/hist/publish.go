@@ -21,8 +21,6 @@ type Result struct {
 // private data, the whole release costs exactly ε; averaging the noisy
 // counts inside a bucket of size s reduces the noise variance by a
 // factor of s at the price of the bucket's structural bias.
-//
-//lrm:sanitizer — the Result is built from Laplace-perturbed counts
 func NoiseFirst(x []float64, b int, eps privacy.Epsilon, src *rng.Source) (*Result, error) {
 	if err := eps.Validate(); err != nil {
 		return nil, err
@@ -67,8 +65,6 @@ type StructureFirstOptions struct {
 // releasing each bucket's sum with Laplace(1/ε₂) noise. A record affects
 // exactly one bucket sum, so step (2) costs ε₂ by parallel composition;
 // sequential composition over both steps gives ε = ε₁ + ε₂.
-//
-//lrm:sanitizer — boundaries via the exponential mechanism, sums noised
 func StructureFirst(x []float64, opt StructureFirstOptions, eps privacy.Epsilon, src *rng.Source) (*Result, error) {
 	if err := eps.Validate(); err != nil {
 		return nil, err
@@ -105,16 +101,23 @@ func StructureFirst(x []float64, opt StructureFirstOptions, eps privacy.Epsilon,
 	// Release bucket sums with Laplace(1/ε₂): one record lands in exactly
 	// one bucket, so the vector of bucket sums has L1 sensitivity 1.
 	t := newSSETable(x)
-	est := make([]float64, n)
-	lam := 1 / float64(epsCounts)
-	for k := range boundaries {
-		lo := boundaries[k]
-		hi := n
+	bucketEnd := func(k int) int {
 		if k+1 < len(boundaries) {
-			hi = boundaries[k+1]
+			return boundaries[k+1]
 		}
-		noisySum := t.sum(lo, hi) + src.Laplace(lam)
-		m := noisySum / float64(hi-lo)
+		return n
+	}
+	sums := make([]float64, len(boundaries))
+	for k, lo := range boundaries {
+		sums[k] = t.sum(lo, bucketEnd(k))
+	}
+	if err := privacy.AddLaplaceNoise(sums, 1, epsCounts, src); err != nil {
+		return nil, err
+	}
+	est := make([]float64, n)
+	for k, lo := range boundaries {
+		hi := bucketEnd(k)
+		m := sums[k] / float64(hi-lo)
 		for i := lo; i < hi; i++ {
 			est[i] = m
 		}

@@ -146,6 +146,35 @@ func TestInjectedNoiseDeletion(t *testing.T) {
 	}
 }
 
+// TestInjectedHMNoiseDeletion: the baseline mechanisms carry no
+// //lrm:sanitizer declaration of their own — their noise comes from the
+// privacy primitives — so deleting HM's AddLaplaceNoise call must make
+// noiseflow name a raw source→sink path through the mechanism, not
+// merely flag a vacuous declaration.
+func TestInjectedHMNoiseDeletion(t *testing.T) {
+	if testing.Short() {
+		t.Skip("tree-wide uncached load shells out to go list")
+	}
+	prog := loadMutable(t)
+	deleteStmtCalling(t, prog, "lrm/internal/mechanism.hierarchicalPrepared.Answer", "AddLaplaceNoise")
+	diags, err := runSuite(prog, []*Analyzer{NoiseFlow})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pathNamed := false
+	for _, d := range diags {
+		if strings.Contains(d.Message, "//lrm:source") && strings.Contains(d.Message, "//lrm:sink") {
+			pathNamed = true
+		}
+	}
+	if !pathNamed {
+		t.Errorf("deleting HM's AddLaplaceNoise call produced no source→sink finding; got %d findings:", len(diags))
+		for _, d := range diags {
+			t.Logf("  %s", d)
+		}
+	}
+}
+
 // TestInjectedBatchNoiseDeletion: same for the multi-RHS path, whose
 // noise rides the first GEMM's fused epilogue — deleting the noise
 // pre-draw inside noiseFusedProduct leaves a declared sanitizer that

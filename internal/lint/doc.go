@@ -14,10 +14,13 @@
 //     syntactic allocation constructs (make, new, append, map/slice
 //     literals, &-composite literals, closures, go statements). The
 //     annotation is the static face of the testing.AllocsPerRun pins.
-//   - noiserand: math/rand is importable only by internal/rng, and
-//     constant noise seeds (rng.New(42), Source.Reseed(7), Seed: 9
-//     fields) are forbidden in serving code — a replayable noise stream
-//     is a subtractable one, which voids the ε-DP guarantee.
+//   - noiserand: math/rand is importable only by internal/rng,
+//     (*rng.Source).Laplace is callable only from internal/privacy and
+//     internal/rng (every release draws through the privacy
+//     primitives), and constant noise seeds (rng.New(42),
+//     Source.Reseed(7), Seed: 9 fields) are forbidden in serving code —
+//     a replayable noise stream is a subtractable one, which voids the
+//     ε-DP guarantee.
 //   - epshygiene: an ε reaching a release sink (Answer, AnswerMany,
 //     Prepare, PrepareWith) must be validated earlier in the same
 //     function, and (*privacy.Budget).Spend errors must not be
@@ -63,7 +66,11 @@
 //	           fields of a //lrm:source-bearing struct
 //	sanitize:  calls to //lrm:sanitizer functions clear the returned
 //	           (or named in-place) values; a declared sanitizer whose
-//	           body never draws from internal/rng is itself a finding
+//	           body never draws from internal/rng is itself a finding.
+//	           The declarations sit on the internal/privacy primitives
+//	           (plus core's fused-epilogue product, whose closure the
+//	           analysis cannot see through), so every mechanism that
+//	           calls them is checked rather than trusted
 //	sink:      //lrm:sink functions (arguments or returns) and
 //	           net/http.ResponseWriter writes
 //

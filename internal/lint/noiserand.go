@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/types"
 	"strconv"
 	"strings"
 )
@@ -23,14 +24,21 @@ import (
 //  3. Likewise, a non-zero compile-time-constant Seed: field in a
 //     composite literal is flagged outside the exempt packages (zero
 //     means "unseeded", which the engine resolves from crypto/rand).
+//  4. (*rng.Source).Laplace is usable only inside internal/privacy and
+//     internal/rng: every release draws its noise through the privacy
+//     primitives (AddLaplaceNoise, DrawLaplaceNoise, …), so the scale
+//     and order of the draws are decided in one package, and noiseflow
+//     checks the mechanisms that call them instead of trusting their
+//     own //lrm:sanitizer declarations.
 //
 // Test files are outside the loader's scope, so seeded determinism in
 // tests is untouched.
 var NoiseRand = &Analyzer{
 	Name: "noiserand",
-	Doc: "forbids math/rand outside internal/rng and flags constant noise " +
-		"seeds (rng.New, Source.Reseed, Seed: fields) in serving code, " +
-		"where a guessable seed makes Laplace noise subtractable",
+	Doc: "forbids math/rand outside internal/rng, Laplace draws outside " +
+		"internal/privacy, and constant noise seeds (rng.New, Source.Reseed, " +
+		"Seed: fields) in serving code, where a guessable seed makes Laplace " +
+		"noise subtractable",
 	Run: runNoiseRand,
 }
 
@@ -52,6 +60,17 @@ var seedExempt = []string{
 	"lrm/examples/",
 }
 
+// laplaceCallers may call (*rng.Source).Laplace directly. The noiseflow
+// fixtures are included because they model sanitizer primitives of
+// their own.
+var laplaceCallers = []string{
+	"lrm/internal/privacy",
+	"lrm/internal/rng",
+	"lrm/internal/lint/testdata/src/noiseflow/",
+}
+
+const laplaceMethod = "(*lrm/internal/rng.Source).Laplace"
+
 // seededConstructors are the functions whose first argument is a noise
 // seed.
 var seededConstructors = map[string]bool{
@@ -61,10 +80,13 @@ var seededConstructors = map[string]bool{
 }
 
 func noiseSeedExempt(path string) bool {
-	if strings.Contains(path, "lint/testdata/") {
-		return false
-	}
-	for _, e := range seedExempt {
+	return !strings.Contains(path, "lint/testdata/") && pathIn(path, seedExempt)
+}
+
+// pathIn reports whether path is one of list, where an entry ending in
+// "/" matches every package below it.
+func pathIn(path string, list []string) bool {
+	for _, e := range list {
 		if path == e || strings.HasSuffix(e, "/") && strings.HasPrefix(path, e) {
 			return true
 		}
@@ -88,6 +110,21 @@ func runNoiseRand(pass *Pass) error {
 						"import of %s outside internal/rng: noise must come from rng.Source so seeds are auditable", p)
 				}
 			}
+		}
+	}
+
+	// (4) Laplace draws outside the privacy primitives.
+	if !pathIn(path, laplaceCallers) {
+		for _, file := range pass.Files {
+			ast.Inspect(file, func(n ast.Node) bool {
+				if sel, ok := n.(*ast.SelectorExpr); ok {
+					if fn, _ := pass.Info.Uses[sel.Sel].(*types.Func); fn != nil && fn.FullName() == laplaceMethod {
+						pass.Report(sel.Pos(),
+							"direct Source.Laplace draw outside internal/privacy: release noise must go through the privacy primitives (AddLaplaceNoise, DrawLaplaceNoise, …)")
+					}
+				}
+				return true
+			})
 		}
 	}
 

@@ -1,5 +1,6 @@
 // Package bad holds noiserand want-diagnostic fixtures: a math/rand
-// import, constant-seeded sources, and a baked-in Seed field.
+// import, constant-seeded sources, a baked-in Seed field, and a Laplace
+// draw outside internal/privacy.
 package bad
 
 import (
@@ -26,4 +27,8 @@ func configured() options {
 
 func shuffle(n int) int {
 	return rand.Intn(n)
+}
+
+func inlineNoise(s *rng.Source, v float64) float64 {
+	return v + s.Laplace(1) // want `direct Source.Laplace draw outside internal/privacy`
 }

@@ -30,22 +30,6 @@ func Scale(s float64, a *Dense) *Dense {
 	return ScaleTo(New(a.rows, a.cols), s, a)
 }
 
-// AddScaled returns a + s*b, the matrix axpy.
-func AddScaled(a *Dense, s float64, b *Dense) *Dense {
-	if a.rows != b.rows || a.cols != b.cols {
-		dimPanic("AddScaled", a, b)
-	}
-	return AddScaledTo(New(a.rows, a.cols), a, s, b)
-}
-
-// ElemMul returns the Hadamard (element-wise) product a ∘ b.
-func ElemMul(a, b *Dense) *Dense {
-	if a.rows != b.rows || a.cols != b.cols {
-		dimPanic("ElemMul", a, b)
-	}
-	return ElemMulTo(New(a.rows, a.cols), a, b)
-}
-
 // Mul returns the matrix product a·b.
 //
 // Products funnel through the cache-blocked packed GEMM in gemm.go: the
@@ -142,13 +126,6 @@ func gramInto(out, a *Dense) {
 		aView{data: a.data, row: 1, k: a.cols},
 		a.data, a.cols, 1, true, nil)
 	mirrorLower(out)
-}
-
-// GramT returns a·aᵀ, exploiting the symmetry of the result.
-func GramT(a *Dense) *Dense {
-	out := New(a.rows, a.rows)
-	gramTInto(out, a)
-	return out
 }
 
 // gramTInto overwrites out with a·aᵀ. Tiles strictly below the diagonal

@@ -54,16 +54,16 @@ func TestScale(t *testing.T) {
 func TestAddScaled(t *testing.T) {
 	a := FromRows([][]float64{{1, 1}})
 	b := FromRows([][]float64{{2, 3}})
-	if got := AddScaled(a, 2, b); !got.Equal(FromRows([][]float64{{5, 7}})) {
-		t.Fatalf("AddScaled = %v", got)
+	if got := AddScaledTo(New(1, 2), a, 2, b); !got.Equal(FromRows([][]float64{{5, 7}})) {
+		t.Fatalf("AddScaledTo = %v", got)
 	}
 }
 
 func TestElemMul(t *testing.T) {
 	a := FromRows([][]float64{{2, 3}})
 	b := FromRows([][]float64{{4, 5}})
-	if got := ElemMul(a, b); !got.Equal(FromRows([][]float64{{8, 15}})) {
-		t.Fatalf("ElemMul = %v", got)
+	if got := ElemMulTo(New(1, 2), a, b); !got.Equal(FromRows([][]float64{{8, 15}})) {
+		t.Fatalf("ElemMulTo = %v", got)
 	}
 }
 
@@ -148,8 +148,8 @@ func TestGram(t *testing.T) {
 	if got, want := Gram(a), Mul(a.T(), a); !got.EqualApprox(want, 1e-12) {
 		t.Fatal("Gram != AᵀA")
 	}
-	if got, want := GramT(a), Mul(a, a.T()); !got.EqualApprox(want, 1e-12) {
-		t.Fatal("GramT != AAᵀ")
+	if got, want := GramTTo(New(7, 7), a), Mul(a, a.T()); !got.EqualApprox(want, 1e-12) {
+		t.Fatal("GramTTo != AAᵀ")
 	}
 }
 

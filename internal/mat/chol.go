@@ -14,19 +14,11 @@ type Cholesky struct {
 	l *Dense
 }
 
-// FactorCholesky computes the Cholesky factorization of a symmetric
-// positive definite matrix. Only the lower triangle of a is read.
-func FactorCholesky(a *Dense) (*Cholesky, error) {
-	if a.rows != a.cols {
-		return nil, errors.New("mat: FactorCholesky needs a square matrix")
-	}
-	return FactorCholeskyTo(New(a.rows, a.rows), a)
-}
-
-// FactorCholeskyTo is FactorCholesky with caller-provided n×n factor
-// storage, so hot loops can refactor without allocating. dst must not
-// alias a; the returned Cholesky wraps dst and is valid until dst is
-// next reused.
+// FactorCholeskyTo computes the Cholesky factorization of a symmetric
+// positive definite matrix into caller-provided n×n factor storage, so
+// hot loops can refactor without allocating. Only the lower triangle of
+// a is read. dst must not alias a; the returned Cholesky wraps dst and
+// is valid until dst is next reused.
 func FactorCholeskyTo(dst, a *Dense) (*Cholesky, error) {
 	if err := factorCholeskyInto(dst, a); err != nil {
 		return nil, err
@@ -125,20 +117,11 @@ func (c *Cholesky) Solve(b *Dense) (*Dense, error) {
 	return x, nil
 }
 
-// SolveRightSPD solves X·A = B for symmetric positive definite A, i.e.
-// X = B·A⁻¹, by solving Aᵀ·Xᵀ = Bᵀ and exploiting A's symmetry. It is
-// the operation needed by the paper's closed-form B-update (Eq. 9).
-func SolveRightSPD(b, a *Dense) (*Dense, error) {
-	out := New(b.rows, a.rows)
-	if err := SolveRightSPDTo(out, b, a, New(a.rows, a.rows)); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// SolveRightSPDTo is SolveRightSPD writing into dst (shaped like b) with
-// caller-provided n×n Cholesky factor storage lwork, performing no
-// allocation. dst may be b itself (rows are solved in place), but a dst
+// SolveRightSPDTo solves X·A = B for symmetric positive definite A, i.e.
+// X = B·A⁻¹, by solving Aᵀ·Xᵀ = Bᵀ and exploiting A's symmetry — the
+// operation the paper's closed-form B-update (Eq. 9) needs. It writes X
+// into dst (shaped like b) with caller-provided n×n Cholesky factor
+// storage lwork, performing no allocation. dst may be b itself (rows are solved in place), but a dst
 // that only partially overlaps b's storage panics — the skipped copy
 // would read half-corrupted rows. lwork must not overlap any other
 // argument (the factorization would scribble over it mid-solve).

@@ -154,21 +154,12 @@ func SqrtPSD(a *Dense) (*Dense, error) {
 	return MulABt(vs, e.Vectors), nil
 }
 
-// LambdaMaxSym estimates the largest eigenvalue of a symmetric positive
-// semidefinite matrix by power iteration. The estimate converges from
-// below; callers needing a certified upper bound should add a small
-// safety factor.
-func LambdaMaxSym(a *Dense, iters int) float64 {
-	n := a.Rows()
-	if n == 0 {
-		return 0
-	}
-	return LambdaMaxSymBuf(a, iters, make([]float64, n), make([]float64, n))
-}
-
-// LambdaMaxSymBuf is LambdaMaxSym with caller-provided length-n scratch
-// vectors, so iterative solvers can re-estimate spectral norms without
-// allocating. x and y must not alias.
+// LambdaMaxSymBuf estimates the largest eigenvalue of a symmetric
+// positive semidefinite matrix by power iteration. The estimate
+// converges from below; callers needing a certified upper bound should
+// add a small safety factor. x and y are caller-provided length-n
+// scratch vectors, so iterative solvers can re-estimate spectral norms
+// without allocating; they must not alias.
 func LambdaMaxSymBuf(a *Dense, iters int, x, y []float64) float64 {
 	n := a.Rows()
 	if n == 0 {

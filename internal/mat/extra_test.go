@@ -8,13 +8,13 @@ import (
 
 func TestLambdaMaxSym(t *testing.T) {
 	a := Diag([]float64{1, 7, 3})
-	if got := LambdaMaxSym(a, 200); math.Abs(got-7) > 1e-8 {
-		t.Fatalf("LambdaMaxSym = %v, want 7", got)
+	if got := LambdaMaxSymBuf(a, 200, make([]float64, 3), make([]float64, 3)); math.Abs(got-7) > 1e-8 {
+		t.Fatalf("LambdaMaxSymBuf = %v, want 7", got)
 	}
-	if got := LambdaMaxSym(New(0, 0), 10); got != 0 {
+	if got := LambdaMaxSymBuf(New(0, 0), 10, nil, nil); got != 0 {
 		t.Fatalf("empty matrix lambda = %v", got)
 	}
-	if got := LambdaMaxSym(New(3, 3), 10); got != 0 {
+	if got := LambdaMaxSymBuf(New(3, 3), 10, make([]float64, 3), make([]float64, 3)); got != 0 {
 		t.Fatalf("zero matrix lambda = %v", got)
 	}
 }
@@ -27,7 +27,7 @@ func TestLambdaMaxSymMatchesEig(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := LambdaMaxSym(spd, 500)
+		got := LambdaMaxSymBuf(spd, 500, make([]float64, n), make([]float64, n))
 		if math.Abs(got-e.Values[0]) > 1e-6*e.Values[0] {
 			t.Fatalf("n=%d: power %v vs eig %v", n, got, e.Values[0])
 		}
@@ -151,7 +151,7 @@ func TestConditionNumber(t *testing.T) {
 func TestSolveRightSPDMismatch(t *testing.T) {
 	rnd := rand.New(rand.NewSource(9))
 	spd := randSPD(rnd, 4)
-	if _, err := SolveRightSPD(New(3, 5), spd); err == nil {
+	if err := SolveRightSPDTo(New(3, 5), New(3, 5), spd, New(4, 4)); err == nil {
 		t.Fatal("dimension mismatch accepted")
 	}
 }

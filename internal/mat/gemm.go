@@ -3,7 +3,7 @@ package mat
 import "sync/atomic"
 
 // Cache-blocked packed GEMM. Every dense product in the package (Mul,
-// MulABt, MulAtB, Gram, GramT, multi-column MulEpiTo) funnels into
+// MulABt, MulAtB, Gram, GramTTo, multi-column MulEpiTo) funnels into
 // gemmMain, which:
 //
 //  1. packs the right-hand operand once per product into gemmNR-wide
@@ -54,7 +54,7 @@ type aView struct {
 
 // packPanel packs panel p of the k×n right operand into dst. The operand
 // is addressed as B(t,j) = src[t*rowStride + j*colStride], so a
-// transposed right operand (MulABt, GramT) packs by passing swapped
+// transposed right operand (MulABt, GramTTo) packs by passing swapped
 // strides. Partial trailing panels are zero-padded to gemmNR so the
 // micro-kernels never branch on width.
 //

@@ -306,51 +306,3 @@ func zero(x []float64) {
 		x[i] = 0
 	}
 }
-
-// Workspace is a free-list of Dense buffers for code that needs
-// shape-varying scratch across many iterations. Get hands out a zeroed
-// matrix, reusing the smallest retired buffer with enough capacity; Put
-// retires a buffer for reuse. Fixed-shape loops (like the
-// ALM in internal/core, which names each of its buffers once) don't need
-// it; it is the generic entry point for loops whose scratch shapes vary
-// call to call. A Workspace is not safe for concurrent use — it is meant
-// to be owned by one solver loop (give each goroutine its own).
-type Workspace struct {
-	mats []*Dense
-}
-
-// NewWorkspace returns an empty workspace.
-func NewWorkspace() *Workspace { return &Workspace{} }
-
-// Get returns a zeroed r×c matrix, reusing retired capacity when
-// possible. The caller should Put it back when finished with it.
-func (ws *Workspace) Get(r, c int) *Dense {
-	need := r * c
-	best := -1
-	for i, m := range ws.mats {
-		if cap(m.data) >= need && (best < 0 || cap(m.data) < cap(ws.mats[best].data)) {
-			best = i
-		}
-	}
-	if best < 0 {
-		return New(r, c)
-	}
-	m := ws.mats[best]
-	last := len(ws.mats) - 1
-	ws.mats[best] = ws.mats[last]
-	ws.mats[last] = nil
-	ws.mats = ws.mats[:last]
-	m.rows, m.cols = r, c
-	m.data = m.data[:need]
-	zero(m.data)
-	return m
-}
-
-// Put retires a matrix obtained from Get (or anywhere else) back into
-// the workspace. The caller must not use m afterwards.
-func (ws *Workspace) Put(m *Dense) {
-	if m == nil || cap(m.data) == 0 {
-		return
-	}
-	ws.mats = append(ws.mats, m)
-}

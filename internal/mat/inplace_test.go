@@ -39,14 +39,14 @@ func TestInPlaceMatchAllocating(t *testing.T) {
 		{"AddTo", Add(a, b), AddTo(garbage(7, 5), a, b)},
 		{"SubTo", Sub(a, b), SubTo(garbage(7, 5), a, b)},
 		{"ScaleTo", Scale(2.5, a), ScaleTo(garbage(7, 5), 2.5, a)},
-		{"AddScaledTo", AddScaled(a, -1.25, b), AddScaledTo(garbage(7, 5), a, -1.25, b)},
-		{"ElemMulTo", ElemMul(a, b), ElemMulTo(garbage(7, 5), a, b)},
+		{"AddScaledTo", AddScaledTo(New(7, 5), a, -1.25, b), AddScaledTo(garbage(7, 5), a, -1.25, b)},
+		{"ElemMulTo", ElemMulTo(New(7, 5), a, b), ElemMulTo(garbage(7, 5), a, b)},
 		{"TransposeTo", a.T(), TransposeTo(garbage(5, 7), a)},
 		{"MulTo", Mul(a, p), MulTo(garbage(7, 9), a, p)},
 		{"MulABtTo", MulABt(a, b), MulABtTo(garbage(7, 7), a, b)},
 		{"MulAtBTo", MulAtB(a, b), MulAtBTo(garbage(5, 5), a, b)},
 		{"GramTo", Gram(a), GramTo(garbage(5, 5), a)},
-		{"GramTTo", GramT(a), GramTTo(garbage(7, 7), a)},
+		{"GramTTo", GramTTo(New(7, 7), a), GramTTo(garbage(7, 7), a)},
 	}
 	for _, tc := range cases {
 		if !tc.want.Equal(tc.got) {
@@ -83,7 +83,7 @@ func TestInPlaceElementwiseAliasing(t *testing.T) {
 	if !want.Equal(got) {
 		t.Error("AddTo with dst aliasing a disagrees")
 	}
-	want = AddScaled(a, 3, b)
+	want = AddScaledTo(New(4, 6), a, 3, b)
 	got = a.Clone()
 	AddScaledTo(got, got, 3, b)
 	if !want.Equal(got) {
@@ -146,13 +146,13 @@ func TestMulSerialParallelBitForBit(t *testing.T) {
 
 		setParallelThreshold(1) // force the parallel path
 		viaParallel := Mul(a, b)
-		gramParallel := GramT(a)
+		gramParallel := GramTTo(New(a.Rows(), a.Rows()), a)
 		atbParallel := MulAtB(a, b)
 		abtParallel := MulABt(a, b)
 
 		setParallelThreshold(1 << 62) // force the serial path
 		viaSerial := Mul(a, b)
-		gramSerial := GramT(a)
+		gramSerial := GramTTo(New(a.Rows(), a.Rows()), a)
 		atbSerial := MulAtB(a, b)
 		abtSerial := MulABt(a, b)
 
@@ -187,7 +187,7 @@ func TestParallelKernelsConcurrent(t *testing.T) {
 	a := randDenseSeed(t, 64, 48, 31)
 	b := randDenseSeed(t, 48, 56, 32)
 	wantMul := Mul(a, b)
-	wantGram := GramT(a)
+	wantGram := GramTTo(New(a.Rows(), a.Rows()), a)
 
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -204,7 +204,7 @@ func TestParallelKernelsConcurrent(t *testing.T) {
 					t.Error("concurrent MulTo mismatch")
 					return
 				}
-				if got := GramT(a); !got.Equal(wantGram) {
+				if got := GramTTo(New(a.Rows(), a.Rows()), a); !got.Equal(wantGram) {
 					t.Error("concurrent GramT mismatch")
 					return
 				}
@@ -214,64 +214,31 @@ func TestParallelKernelsConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestWorkspaceReuse checks that the workspace recycles capacity, zeroes
-// reissued buffers, and prefers the smallest adequate buffer.
-func TestWorkspaceReuse(t *testing.T) {
-	ws := NewWorkspace()
-	m := ws.Get(4, 6)
-	if r, c := m.Dims(); r != 4 || c != 6 {
-		t.Fatalf("Get returned %d×%d, want 4×6", r, c)
-	}
-	backing := &m.RawData()[0]
-	for i := range m.RawData() {
-		m.RawData()[i] = 7
-	}
-	ws.Put(m)
-
-	// Smaller request must reuse the retired buffer and come back zeroed.
-	n := ws.Get(3, 5)
-	if &n.RawData()[0] != backing {
-		t.Error("Get did not reuse retired capacity")
-	}
-	for i, v := range n.RawData() {
-		if v != 0 {
-			t.Fatalf("reissued buffer not zeroed at %d: %v", i, v)
-		}
-	}
-
-	// A larger request than anything retired allocates fresh.
-	big := ws.Get(50, 50)
-	if &big.RawData()[0] == backing {
-		t.Error("Get reused a too-small buffer")
-	}
-
-	// Best fit: with a small and a big buffer retired, a small request
-	// should take the small one.
-	ws.Put(n)
-	ws.Put(big)
-	small := ws.Get(3, 5)
-	if &small.RawData()[0] != backing {
-		t.Error("Get did not prefer the smallest adequate buffer")
-	}
-}
-
-// TestSolveRightSPDTo checks the allocation-free solve against the
-// allocating wrapper, including dst aliasing b (the ALM's B-update
+// TestSolveRightSPDTo checks the allocation-free solve against garbage
+// in dst and lwork and with dst aliasing b (the ALM's B-update
 // overwrites its right-hand side in place).
 func TestSolveRightSPDTo(t *testing.T) {
 	g := randDenseSeed(t, 12, 8, 41)
 	spd := Gram(g) // 8×8 SPD
 	b := randDenseSeed(t, 5, 8, 42)
-	want, err := SolveRightSPD(b, spd)
-	if err != nil {
+	want := New(5, 8)
+	if err := SolveRightSPDTo(want, b, spd, New(8, 8)); err != nil {
 		t.Fatal(err)
 	}
-	dst := New(5, 8)
-	if err := SolveRightSPDTo(dst, b, spd, New(8, 8)); err != nil {
+	if !Mul(want, spd).EqualApprox(b, 1e-8) {
+		t.Fatal("X·A != B")
+	}
+	dst, lwork := New(5, 8), New(8, 8)
+	for _, m := range []*Dense{dst, lwork} {
+		for i := range m.RawData() {
+			m.RawData()[i] = 1e30
+		}
+	}
+	if err := SolveRightSPDTo(dst, b, spd, lwork); err != nil {
 		t.Fatal(err)
 	}
 	if !want.Equal(dst) {
-		t.Error("SolveRightSPDTo disagrees with SolveRightSPD")
+		t.Error("SolveRightSPDTo into garbage buffers disagrees")
 	}
 	inPlace := b.Clone()
 	if err := SolveRightSPDTo(inPlace, inPlace, spd, New(8, 8)); err != nil {
@@ -315,15 +282,18 @@ func TestSolveRightSPDTo(t *testing.T) {
 	})
 }
 
-// TestLambdaMaxSymBuf checks the buffered power iteration matches the
-// allocating wrapper exactly.
+// TestLambdaMaxSymBuf checks the buffered power iteration does not
+// depend on what its scratch vectors held before the call.
 func TestLambdaMaxSymBuf(t *testing.T) {
 	g := randDenseSeed(t, 10, 6, 51)
 	spd := Gram(g)
-	want := LambdaMaxSym(spd, 200)
-	got := LambdaMaxSymBuf(spd, 200, make([]float64, 6), make([]float64, 6))
-	if want != got {
-		t.Errorf("LambdaMaxSymBuf = %v, want %v", got, want)
+	want := LambdaMaxSymBuf(spd, 200, make([]float64, 6), make([]float64, 6))
+	x, y := make([]float64, 6), make([]float64, 6)
+	for i := range x {
+		x[i], y[i] = 1e30, -1e30
+	}
+	if got := LambdaMaxSymBuf(spd, 200, x, y); want != got {
+		t.Errorf("LambdaMaxSymBuf with dirty scratch = %v, want %v", got, want)
 	}
 }
 

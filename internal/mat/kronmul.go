@@ -43,20 +43,6 @@ func checkedMul(a, b int) (int, error) {
 	return a * b, nil
 }
 
-// KronScratchLen returns the scratch length KronMulTo requires for the
-// given factors: two buffers of the maximum stage size.
-func KronScratchLen(factors []*Dense) int {
-	dims := make([][2]int, len(factors))
-	for i, f := range factors {
-		dims[i] = [2]int{f.Rows(), f.Cols()}
-	}
-	ms, err := KronStages(dims)
-	if err != nil {
-		panic(err)
-	}
-	return 2 * ms
-}
-
 // KronMulTo computes dst = (F₁ ⊗ … ⊗ F_d)·x by mode products: the state
 // starts as x viewed as a (Π nⱼ/n_d)×n_d tensor unfolding; each step
 // multiplies the trailing mode by its factor (one GEMM, out = state·Fᵢᵀ)
@@ -64,7 +50,7 @@ func KronScratchLen(factors []*Dense) int {
 // all d steps the state is the output tensor in row-major order.
 //
 // dst must have length Π Fᵢ.Rows(); x length Π Fᵢ.Cols(); scratch at
-// least KronScratchLen(factors). dst, x, and scratch must not overlap.
+// least twice the largest stage size KronStages reports. dst, x, and scratch must not overlap.
 // The factor list must be non-empty. Returns dst.
 //
 //lrm:noalloc — two header reuses per mode, all data in caller scratch

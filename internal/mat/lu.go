@@ -13,7 +13,6 @@ var ErrSingular = errors.New("mat: matrix is singular")
 type LU struct {
 	lu    *Dense // packed L (unit lower) and U
 	pivot []int  // row permutation
-	sign  int    // permutation parity, for Det
 }
 
 // FactorLU computes the LU factorization of the square matrix a with
@@ -25,7 +24,6 @@ func FactorLU(a *Dense) (*LU, error) {
 	n := a.rows
 	lu := a.Clone()
 	pivot := make([]int, n)
-	sign := 1
 	for k := 0; k < n; k++ {
 		// Find pivot row.
 		p := k
@@ -45,7 +43,6 @@ func FactorLU(a *Dense) (*LU, error) {
 			for j := range rk {
 				rk[j], rp[j] = rp[j], rk[j]
 			}
-			sign = -sign
 		}
 		inv := 1 / lu.data[k*n+k]
 		for i := k + 1; i < n; i++ {
@@ -61,7 +58,7 @@ func FactorLU(a *Dense) (*LU, error) {
 			}
 		}
 	}
-	return &LU{lu: lu, pivot: pivot, sign: sign}, nil
+	return &LU{lu: lu, pivot: pivot}, nil
 }
 
 // SolveVec solves A·x = b for x.
@@ -116,16 +113,6 @@ func (f *LU) Solve(b *Dense) (*Dense, error) {
 		x.SetCol(j, col)
 	}
 	return x, nil
-}
-
-// Det returns the determinant of the factored matrix.
-func (f *LU) Det() float64 {
-	n := f.lu.rows
-	d := float64(f.sign)
-	for i := 0; i < n; i++ {
-		d *= f.lu.data[i*n+i]
-	}
-	return d
 }
 
 // Inverse returns A⁻¹ for a square nonsingular matrix.

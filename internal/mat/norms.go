@@ -88,15 +88,6 @@ func VecNorm2(x []float64) float64 {
 	return math.Sqrt(s)
 }
 
-// VecNorm1 returns the L1 norm of x.
-func VecNorm1(x []float64) float64 {
-	var s float64
-	for _, v := range x {
-		s += math.Abs(v)
-	}
-	return s
-}
-
 // VecDot returns the dot product of x and y.
 func VecDot(x, y []float64) float64 {
 	if len(x) != len(y) {
@@ -107,30 +98,6 @@ func VecDot(x, y []float64) float64 {
 		s += v * y[i]
 	}
 	return s
-}
-
-// VecSub returns x - y as a new slice.
-func VecSub(x, y []float64) []float64 {
-	if len(x) != len(y) {
-		panic("mat: VecSub length mismatch")
-	}
-	out := make([]float64, len(x))
-	for i, v := range x {
-		out[i] = v - y[i]
-	}
-	return out
-}
-
-// VecAdd returns x + y as a new slice.
-func VecAdd(x, y []float64) []float64 {
-	if len(x) != len(y) {
-		panic("mat: VecAdd length mismatch")
-	}
-	out := make([]float64, len(x))
-	for i, v := range x {
-		out[i] = v + y[i]
-	}
-	return out
 }
 
 // SpectralNorm returns ‖a‖₂, the largest singular value, estimated by

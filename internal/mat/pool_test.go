@@ -39,7 +39,7 @@ func TestPoolMultiWorkerPath(t *testing.T) {
 
 	setParallelThreshold(1 << 62)
 	wantMul := Mul(a, b)
-	wantGramT := GramT(a)
+	wantGramT := GramTTo(New(a.Rows(), a.Rows()), a)
 	setParallelThreshold(1)
 
 	if pool.workers == 0 {
@@ -54,7 +54,7 @@ func TestPoolMultiWorkerPath(t *testing.T) {
 	if got := Mul(a, b); !got.Equal(wantMul) {
 		t.Fatal("pool-dispatched Mul disagrees with serial path")
 	}
-	if got := GramT(a); !got.Equal(wantGramT) {
+	if got := GramTTo(New(a.Rows(), a.Rows()), a); !got.Equal(wantGramT) {
 		t.Fatal("pool-dispatched GramT disagrees with serial path")
 	}
 

@@ -58,29 +58,6 @@ func AnswerManyLoop(p Prepared, x *mat.Dense, eps privacy.Epsilon, src *rng.Sour
 	return out, nil
 }
 
-// addLaplaceNoiseCols perturbs the r×B matrix y in place with Laplace
-// noise of scale sensitivity/ε, drawing column by column in ascending
-// column order — the draw order a loop of per-column Answer calls sharing
-// one source would produce, which the BatchAnswerer contract requires. The gather/scatter through buf keeps the draws flowing
-// through the exact same privacy.AddLaplaceNoise code path (scale
-// computation, validation) as the single-vector answering paths.
-//
-//lrm:sanitizer y — every column is Laplace-perturbed in place
-func addLaplaceNoiseCols(y *mat.Dense, sensitivity float64, eps privacy.Epsilon, src *rng.Source) error {
-	r, cols := y.Dims()
-	buf := make([]float64, r)
-	for j := 0; j < cols; j++ {
-		for i := 0; i < r; i++ {
-			buf[i] = y.At(i, j)
-		}
-		if err := privacy.AddLaplaceNoise(buf, sensitivity, eps, src); err != nil {
-			return err
-		}
-		y.SetCol(j, buf)
-	}
-	return nil
-}
-
 // checkBatchShape validates the data matrix of an AnswerMany call against
 // the mechanism's domain.
 func checkBatchShape(x *mat.Dense, domain int) error {

@@ -63,7 +63,7 @@ func (p *compressivePrepared) Answer(x []float64, eps privacy.Epsilon, src *rng.
 	if err := eps.Validate(); err != nil {
 		return nil, err
 	}
-	y, err := p.syn.Compress(x, float64(eps), src)
+	y, err := p.syn.Compress(x, eps, src)
 	if err != nil {
 		return nil, err
 	}

@@ -63,8 +63,6 @@ type fourierPrepared struct {
 }
 
 // Answer implements Prepared.
-//
-//lrm:sanitizer — the retained Fourier coefficients are Laplace-perturbed
 func (p *fourierPrepared) Answer(x []float64, eps privacy.Epsilon, src *rng.Source) ([]float64, error) {
 	if err := eps.Validate(); err != nil {
 		return nil, err
@@ -72,11 +70,19 @@ func (p *fourierPrepared) Answer(x []float64, eps privacy.Epsilon, src *rng.Sour
 	if len(x) != p.n {
 		return nil, fmt.Errorf("mechanism: data length %d != domain %d", len(x), p.n)
 	}
+	// The released numbers are the retained coefficients as interleaved
+	// (re, im) pairs, L1 sensitivity √(2K).
 	spec := transform.FFTReal(x)
-	lam := math.Sqrt(2*float64(p.k)) / float64(eps)
+	parts := make([]float64, 2*p.k)
+	for j := 0; j < p.k; j++ {
+		parts[2*j], parts[2*j+1] = real(spec[j]), imag(spec[j])
+	}
+	if err := privacy.AddLaplaceNoise(parts, math.Sqrt(2*float64(p.k)), eps, src); err != nil {
+		return nil, err
+	}
 	noisy := make([]complex128, p.n)
 	for j := 0; j < p.k; j++ {
-		noisy[j] = spec[j] + complex(src.Laplace(lam), src.Laplace(lam))
+		noisy[j] = complex(parts[2*j], parts[2*j+1])
 	}
 	// Post-processing: enforce the conjugate symmetry of a real signal so
 	// the inverse transform is real. Index 0 (and n/2 for even n) must be

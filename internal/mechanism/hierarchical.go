@@ -52,8 +52,6 @@ type hierarchicalPrepared struct {
 }
 
 // Answer implements Prepared.
-//
-//lrm:sanitizer — every subtree sum is Laplace-perturbed
 func (p *hierarchicalPrepared) Answer(x []float64, eps privacy.Epsilon, src *rng.Source) ([]float64, error) {
 	if err := eps.Validate(); err != nil {
 		return nil, err
@@ -88,15 +86,13 @@ func (p *hierarchicalPrepared) Answer(x []float64, eps privacy.Epsilon, src *rng
 		}
 	}
 
-	// Each record appears in ℓ node counts, so per-node noise is
-	// Lap(ℓ/ε).
-	scale := float64(p.levels) / float64(eps)
-	z := make([]float64, total)
-	for i := range z {
-		z[i] = sums[i] + src.Laplace(scale)
+	// Each record appears in ℓ node counts, so the node counts have L1
+	// sensitivity ℓ.
+	if err := privacy.AddLaplaceNoise(sums, float64(p.levels), eps, src); err != nil {
+		return nil, err
 	}
 
-	xhat := p.consistency(z, levelStart)
+	xhat := p.consistency(sums, levelStart)
 	return p.w.Answer(xhat[:p.n]), nil
 }
 

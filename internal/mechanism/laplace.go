@@ -49,7 +49,7 @@ func (p *laplaceDataPrepared) AnswerMany(x *mat.Dense, eps privacy.Epsilon, src 
 		return nil, err
 	}
 	noisy := x.Clone()
-	if err := addLaplaceNoiseCols(noisy, 1, eps, src); err != nil {
+	if err := privacy.AddLaplaceNoiseCols(noisy, 1, eps, src); err != nil {
 		return nil, err
 	}
 	return mat.MulEpiTo(mat.New(p.w.Queries(), x.Cols()), p.w.W, noisy, nil), nil
@@ -96,7 +96,7 @@ func (p *laplaceResultsPrepared) AnswerMany(x *mat.Dense, eps privacy.Epsilon, s
 		return nil, err
 	}
 	out := mat.MulEpiTo(mat.New(p.w.Queries(), x.Cols()), p.w.W, x, nil)
-	if err := addLaplaceNoiseCols(out, p.delta, eps, src); err != nil {
+	if err := privacy.AddLaplaceNoiseCols(out, p.delta, eps, src); err != nil {
 		return nil, err
 	}
 	return out, nil

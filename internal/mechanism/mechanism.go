@@ -53,7 +53,8 @@ type Prepared interface {
 // engine's batched path, the contract tests) rely on batching being a
 // throughput optimization, never a change in the noise released.
 // Implementations get this by computing their dense products with
-// mat.MulEpiTo and drawing per-column noise in ascending column order.
+// mat.MulEpiTo and drawing their per-column noise with
+// privacy.AddLaplaceNoiseCols, which draws in ascending column order.
 type BatchAnswerer interface {
 	// AnswerMany releases private answers for the n×B matrix X whose
 	// columns are B histograms, returning the m×B matrix whose columns

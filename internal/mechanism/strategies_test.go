@@ -33,7 +33,7 @@ func TestHaarStrategyRowsOrthogonal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := mat.GramT(a)
+	g := mat.GramTTo(mat.New(a.Rows(), a.Rows()), a)
 	for i := 0; i < g.Rows(); i++ {
 		for j := 0; j < g.Cols(); j++ {
 			if i != j && math.Abs(g.At(i, j)) > 1e-12 {

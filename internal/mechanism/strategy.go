@@ -62,7 +62,7 @@ func (p *StrategyPrepared) AnswerMany(x *mat.Dense, eps privacy.Epsilon, src *rn
 	}
 	cols := x.Cols()
 	noisy := mat.MulEpiTo(mat.New(p.a.Rows(), cols), p.a, x, nil)
-	if err := addLaplaceNoiseCols(noisy, p.delta, eps, src); err != nil {
+	if err := privacy.AddLaplaceNoiseCols(noisy, p.delta, eps, src); err != nil {
 		return nil, err
 	}
 	xhat := mat.MulEpiTo(mat.New(p.apinv.Rows(), cols), p.apinv, noisy, nil)

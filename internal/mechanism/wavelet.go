@@ -59,8 +59,6 @@ func (p *waveletPrepared) coefficientScales(eps privacy.Epsilon) (lam0 float64, 
 }
 
 // Answer implements Prepared.
-//
-//lrm:sanitizer — every wavelet coefficient is Laplace-perturbed
 func (p *waveletPrepared) Answer(x []float64, eps privacy.Epsilon, src *rng.Source) ([]float64, error) {
 	if err := eps.Validate(); err != nil {
 		return nil, err
@@ -76,20 +74,30 @@ func (p *waveletPrepared) Answer(x []float64, eps privacy.Epsilon, src *rng.Sour
 	for i := n - 1; i >= 1; i-- {
 		sums[i] = sums[2*i] + sums[2*i+1]
 	}
-	lam0, lam := p.coefficientScales(eps)
 	// Noisy coefficients: coeff[i] for internal node i is
-	// (sumLeft − sumRight)/size(i); heights decrease with depth.
-	coeff := make([]float64, n) // index 1..n−1 used
-	for i := 1; i < n; i++ {
-		size := n / sizeIndex(i)
-		j := log2(size) // height of node i
-		coeff[i] = (sums[2*i]-sums[2*i+1])/float64(size) + src.Laplace(lam[j])
+	// (sumLeft − sumRight)/size(i), and coeff[0] is the base coefficient
+	// c0. The nodes of depth row [d, 2d) share one height, so each row is
+	// one noise call at sensitivity (1+h)/size, the scale λ of
+	// coefficientScales; c0 is drawn last.
+	coeff := make([]float64, n)
+	c := float64(1 + p.levels)
+	for d := 1; d < n; d *= 2 {
+		size := n / d
+		for i := d; i < 2*d; i++ {
+			coeff[i] = (sums[2*i] - sums[2*i+1]) / float64(size)
+		}
+		if err := privacy.AddLaplaceNoise(coeff[d:2*d], c/float64(size), eps, src); err != nil {
+			return nil, err
+		}
 	}
-	c0 := sums[1]/float64(n) + src.Laplace(lam0)
+	coeff[0] = sums[1] / float64(n)
+	if err := privacy.AddLaplaceNoise(coeff[:1], c/float64(n), eps, src); err != nil {
+		return nil, err
+	}
 
 	// Inverse transform: propagate averages down the tree.
 	avg := make([]float64, 2*n)
-	avg[1] = c0
+	avg[1] = coeff[0]
 	for i := 1; i < n; i++ {
 		avg[2*i] = avg[i] + coeff[i]
 		avg[2*i+1] = avg[i] - coeff[i]

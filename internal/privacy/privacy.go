@@ -3,6 +3,15 @@
 // the Laplace mechanism on a vector of exact answers, and composition
 // accounting.
 //
+// It is the only package that draws release noise. Every mechanism
+// computes its exact values (L·x, wavelet coefficients, subtree or bucket
+// sums, Φx) and perturbs them through LaplaceMechanism, AddLaplaceNoise,
+// AddLaplaceNoiseCols or DrawLaplaceNoise, so the scale and the order of
+// the draws are decided here once. The lint suite keeps it that way:
+// noiserand flags a (*rng.Source).Laplace call anywhere else, and
+// noiseflow checks each mechanism's path from raw counts to release
+// instead of trusting a per-mechanism //lrm:sanitizer declaration.
+//
 // Throughout the repository, the database is a histogram x ∈ ℝⁿ of unit
 // counts and neighboring databases differ by ±1 in a single coordinate, so
 // the sensitivity of the identity workload is 1 and the sensitivity of a
@@ -178,6 +187,30 @@ func DrawLaplaceNoise(dst []float64, sensitivity float64, eps Epsilon, src *rng.
 	scale := sensitivity / float64(eps)
 	for i := range dst {
 		dst[i] = src.Laplace(scale)
+	}
+	return nil
+}
+
+// AddLaplaceNoiseCols perturbs the r×B matrix y in place with Laplace
+// noise of scale sensitivity/ε, drawing column by column in ascending
+// column order — the draw order a loop of per-column Answer calls sharing
+// one source would produce, which the batch answering contract requires.
+// The gather/scatter through buf keeps the draws flowing through the
+// exact same AddLaplaceNoise code path (scale computation, validation) as
+// the single-vector answering paths.
+//
+//lrm:sanitizer y — every column is Laplace-perturbed in place
+func AddLaplaceNoiseCols(y *mat.Dense, sensitivity float64, eps Epsilon, src *rng.Source) error {
+	r, cols := y.Dims()
+	buf := make([]float64, r)
+	for j := 0; j < cols; j++ {
+		for i := 0; i < r; i++ {
+			buf[i] = y.At(i, j)
+		}
+		if err := AddLaplaceNoise(buf, sensitivity, eps, src); err != nil {
+			return err
+		}
+		y.SetCol(j, buf)
 	}
 	return nil
 }
